@@ -1,13 +1,13 @@
-// Command iokserve runs an HTTP similarity service backed by the
-// incremental Gram engine: traces are POSTed one at a time or in batches,
-// converted to weighted strings, and inserted with one row (or block) of
-// kernel evaluations; the similarity matrix and top-k neighbour queries
-// are served from the incrementally maintained state.
+// Command iokserve runs an HTTP similarity service backed by the corpus
+// engine: traces are POSTed one at a time or in batches, converted to
+// weighted strings, and inserted with one kernel evaluation each (the
+// self-similarity); top-k neighbour queries and the similarity matrix
+// evaluate pairwise kernel values on demand.
 //
 // With --data-dir the engine is durable: every accepted mutation is
 // appended to a CRC-checked write-ahead log before it is acknowledged, and
 // snapshots bound replay time. A killed server restarts into a
-// bit-identical Gram matrix without clients re-sending anything.
+// bit-identical corpus without clients re-sending anything.
 //
 // Every ingested trace is also embedded into a fixed-width sketch vector
 // (internal/sketch), so similarity can be answered approximately — LSH-
@@ -21,9 +21,9 @@
 // engine+store pairs behind one id space, each trace routed to exactly one
 // shard by a seeded hash of its id, similarity queries fanned out to every
 // shard in parallel and merged exactly — results stay bit-identical to the
-// single-engine answers. Ingest work and lock contention drop by the shard
-// count; the price is that /gram (which would need cross-shard kernel
-// values) is unavailable. --shards=1 (the default) runs the classic single
+// single-engine answers, /gram included. Lock contention drops by the
+// shard count and a query's kernel work runs on every shard in parallel.
+// --shards=1 (the default) runs the classic single
 // engine and stays byte-compatible with existing --data-dir layouts; a
 // sharded data dir carries a MANIFEST pinning shard count, routing seed,
 // and kernel/sketch config, and refuses to open under different flags.
@@ -42,9 +42,10 @@
 //
 //	POST   /traces           body = trace text; returns {"id": n, ...}
 //	POST   /traces/batch     body = {"traces": ["...", ...]}; one WAL
-//	                         commit and one Gram block for the whole batch
+//	                         commit for the whole batch
 //	DELETE /traces/{id}      remove a trace from the corpus (durable)
-//	GET    /similar?id=&k=   top-k most similar corpus entries (exact)
+//	GET    /similar?id=&k=   top-k most similar corpus entries (exact: one
+//	                         kernel evaluation per live trace)
 //	GET    /similar?id=&k=&approx=1&rerank=R
 //	                         sketch-index shortlist, exact rerank of the top
 //	                         R candidates (R=0: sketch scores only)
@@ -64,7 +65,8 @@
 //	                         or strace lines) assembled into per-session
 //	                         traces; window classifications and the final
 //	                         whole-trace verdict stream back as NDJSON
-//	GET    /gram             raw kernel matrix ({"ids": [...], "matrix": [[...]]})
+//	GET    /gram             raw kernel matrix ({"ids": [...], "matrix": [[...]]}),
+//	                         evaluated on demand; 413 above 1024 live traces
 //	GET    /gram?normalized=1  paper-pipeline similarity (Eq. 12 / cosine + PSD repair)
 //	GET    /healthz          liveness probe; "degraded" if persistence fails
 //	GET    /metrics          Prometheus text exposition: every layer (HTTP,

@@ -28,6 +28,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"iokast/internal/token"
 )
@@ -97,7 +98,8 @@ func (k *Kast) compareViews(av, bv seqView) float64 {
 	// anywhere in B; LB[j] symmetric.
 	la, lb := matchLengths(av.ids, bv.ids)
 
-	table := newStatsTable(len(av.ids) + len(bv.ids))
+	table := statsTables.Get().(*statsTable)
+	defer table.release()
 
 	// Phase 1: register substrings that have a >= cut occurrence, per side.
 	// Occurrence weight grows with length at a fixed start, so only lengths
@@ -131,8 +133,8 @@ func (k *Kast) compareViews(av, bv seqView) float64 {
 	// the float sum is bit-identical across runs (map order would not
 	// be; iokvet's mapiterorder analyzer enforces this).
 	var sum float64
-	for _, st := range table.order {
-		if st.uncovered && viable(st) {
+	for i := range table.slab {
+		if st := &table.slab[i]; st.uncovered && viable(st) {
 			sum += float64(st.sumA) * float64(st.sumB)
 		}
 	}
@@ -178,34 +180,48 @@ type substringKey struct {
 	length int32
 }
 
-// statsTable is the shared-substring table plus its insertion order.
-// The order is a deterministic function of the two inputs (registration
-// scans positions and lengths in fixed order), so iterating it — never
-// the map — keeps float accumulation bit-identical across runs.
+// statsTable is the shared-substring table: the map indexes a slab of
+// stats appended in registration order. The order is a deterministic
+// function of the two inputs (registration scans positions and lengths in
+// fixed order), so iterating the slab — never the map — keeps float
+// accumulation bit-identical across runs. Tables are pooled, so a kernel
+// evaluation reuses the map buckets and slab of an earlier one instead of
+// allocating per substring.
 type statsTable struct {
-	m     map[substringKey]*substringStats
-	order []*substringStats
+	m    map[substringKey]int32
+	slab []substringStats
 }
 
-func newStatsTable(capHint int) *statsTable {
-	return &statsTable{m: make(map[substringKey]*substringStats, capHint)}
+var statsTables = sync.Pool{New: func() any {
+	return &statsTable{m: make(map[substringKey]int32)}
+}}
+
+// release empties the table and returns it to the pool.
+func (t *statsTable) release() {
+	clear(t.m)
+	t.slab = t.slab[:0]
+	statsTables.Put(t)
 }
 
 // lookup returns the stats registered for k, or nil.
 func (t *statsTable) lookup(k substringKey) *substringStats {
-	return t.m[k]
+	if i, ok := t.m[k]; ok {
+		return &t.slab[i]
+	}
+	return nil
 }
 
 // getOrCreate returns the stats for k, registering a fresh entry in
-// insertion order on first sight.
+// insertion order on first sight. The pointer is valid only until the
+// next getOrCreate, which may grow the slab.
 func (t *statsTable) getOrCreate(k substringKey) *substringStats {
-	st := t.m[k]
-	if st == nil {
-		st = &substringStats{}
-		t.m[k] = st
-		t.order = append(t.order, st)
+	i, ok := t.m[k]
+	if !ok {
+		i = int32(len(t.slab))
+		t.m[k] = i
+		t.slab = append(t.slab, substringStats{})
 	}
-	return st
+	return &t.slab[i]
 }
 
 type substringStats struct {

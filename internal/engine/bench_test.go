@@ -22,10 +22,10 @@ func benchCorpus(n, strLen int) []token.String {
 }
 
 // BenchmarkEngineAdd measures the cost of adding the (N+1)-th trace to an
-// engine already holding N. The per-op time should grow linearly in N (one
-// kernel evaluation per existing entry), demonstrating the O(N) incremental
-// update; BenchmarkBatchGramRebuild below is the O(N^2) alternative a
-// batch recompute pays for the same arrival.
+// engine already holding N. The insert pays one kernel evaluation, the
+// self-similarity, so the per-op time stays flat in N;
+// BenchmarkBatchGramRebuild below is the O(N^2) a batch recompute pays for
+// the same arrival.
 func BenchmarkEngineAdd(b *testing.B) {
 	for _, n := range []int{8, 32, 128} {
 		b.Run(fmt.Sprintf("corpus=%d", n), func(b *testing.B) {
@@ -65,11 +65,10 @@ func BenchmarkBatchGramRebuild(b *testing.B) {
 
 // BenchmarkEngineAddBatch measures ingesting a batch of n traces into an
 // empty engine in one AddBatch call. Contrast with
-// BenchmarkEngineSequentialAdds: identical kernel work (the same
-// n(n+1)/2 evaluations), but one representation fan-out, one flat
-// ParallelFor over every pair, and one symmetric block growth instead of n
-// row growths. On a durable engine (internal/store's benchmarks) the gap
-// widens further: one WAL record and one fsync per batch instead of n.
+// BenchmarkEngineSequentialAdds: identical kernel work (n self-
+// similarities), but one ParallelFor and one commit instead of n. On a
+// durable engine (internal/store's benchmarks) the gap widens further: one
+// WAL record and one fsync per batch instead of n.
 func BenchmarkEngineAddBatch(b *testing.B) {
 	for _, n := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("batch=%d", n), func(b *testing.B) {
@@ -104,7 +103,8 @@ func BenchmarkEngineSequentialAdds(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSimilar measures a top-k query against a warm corpus.
+// BenchmarkEngineSimilar measures an exact top-k by-id query against a
+// warm corpus: one kernel evaluation per live entry, computed on demand.
 func BenchmarkEngineSimilar(b *testing.B) {
 	e := New(Options{Kernel: &core.Kast{CutWeight: 2}})
 	for _, x := range benchCorpus(128, 40) {

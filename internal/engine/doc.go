@@ -1,47 +1,53 @@
-// Package engine provides an incremental Gram-matrix engine: a stateful
-// corpus of weighted strings whose kernel matrix is maintained under
-// single-trace insertion, batch insertion, and removal.
+// Package engine provides a similarity corpus: a stateful collection of
+// weighted strings under single-trace insertion, batch insertion, and
+// removal, answering exact and approximate top-k queries.
 //
-// # Incremental maintenance
+// # Per-string state
 //
 // The paper's batch workflow (kernel.Gram) recomputes all n(n+1)/2 kernel
-// values whenever the dataset changes. In a streaming setting — traces
-// arriving one at a time, as in cmd/iokserve — that is quadratic work per
-// arrival. The engine instead caches each string's per-string
-// representation once (the feature map for inner-product kernels, the
-// interned/prefix-hashed view for the Kast kernel) and, on Add, computes
-// only the new row/column against the existing corpus, fanned out over a
-// bounded worker pool. Adding the (N+1)-th trace therefore costs N kernel
-// evaluations instead of the (N+1)(N+2)/2 a batch recompute pays; AddBatch
-// grows a whole block with one flat fan-out over the new pairs.
+// values whenever the dataset changes. The engine instead caches, per
+// string, only what every query needs: the per-string representation
+// (the feature map for inner-product kernels, the interned/prefix-hashed
+// view for the Kast kernel), its sketch, and its self-similarity k(x, x),
+// the normaliser of every cosine score. Adding a trace therefore costs
+// one kernel evaluation whatever the corpus size; AddBatch builds a whole
+// batch in one bounded parallel fan-out and commits it with one log
+// record. No pairwise value is stored: queries evaluate the kernel
+// against their candidates on demand, and Gram, NormalizedGram and GramAt
+// evaluate the matrix on demand over the cached views.
 //
 // Results are identical to a from-scratch kernel.Gram over the same
-// strings: both paths evaluate the same kernel on the same cached
-// representations, and every kernel in this project accumulates integer-
-// valued products in float64, which is exact (and thus order-independent)
-// far beyond the magnitudes real traces produce.
+// strings: both paths evaluate the same kernel on the same
+// representations, every on-demand pair puts the lower id first (the
+// argument order of kernel.Gram), and the Kast and feature-map kernels
+// accumulate integer-valued products in float64, which is exact (and thus
+// order-independent) far beyond the magnitudes real traces produce.
 //
 // # Query paths
 //
-// Similar answers by-id queries from the cached Gram row with zero kernel
-// work. SimilarApprox and SimilarTrace run the approximate path: a
-// shortlist from the internal sketch index (flat or LSH-banded, see
-// Options.ANNBands and package sketch) followed by an exact kernel rerank
-// of the top candidates. A rerank covering the corpus returns the exact
-// answer bit for bit. Query-by-trace prepares the query against the
-// corpus interner ephemerally — read-only traffic never grows engine
-// memory — and PrepareTraceQuery/PrepareStoredQuery let callers (the
-// sharded fan-out in particular) embed a query exactly once and share the
-// prepared sketch, band signature, and self-similarity across engines.
+// SimilarTracePrepared is the one query path. Similar and SimilarApprox
+// prepare a by-id query from stored state (PrepareStoredQuery) and drop
+// the id itself before truncating; SimilarTrace prepares a query trace
+// ephemerally against the corpus interner, so read-only traffic never
+// grows engine memory. The exact path evaluates the kernel against every
+// live entry; the approximate path shortlists from the internal sketch
+// index (flat or LSH-banded, see Options.ANNBands and package sketch) and
+// reranks the shortlist exactly. A rerank covering the corpus returns the
+// exact answer bit for bit. Candidates are picked under the read lock and
+// evaluated after it is released. PrepareTraceQuery/PrepareStoredQuery
+// let callers (the sharded fan-out in particular) embed a query exactly
+// once and share the prepared sketch, band signature, and self-similarity
+// across engines.
 //
 // # Persistence
 //
-// Snapshot/Restore serialise the full engine state — including the raw
-// Gram matrix as float64 bits and the sketch index's vectors and band
-// signatures — so a restore is bit-identical, never a recompute, unless
-// the sketch or ANN configuration changed (then the index is rebuilt
-// deterministically from the canonical strings). Package store adds the
-// write-ahead log and snapshot lifecycle around this.
+// Snapshot/Restore serialise the full engine state — the canonical
+// strings plus the sketch index's vectors, band signatures, and the
+// self-similarities as float64 bits — so a restore is bit-identical and
+// does no kernel work, unless the sketch or ANN configuration changed
+// (then the index is rebuilt deterministically from the canonical
+// strings). Package store adds the write-ahead log and snapshot lifecycle
+// around this.
 //
 // See docs/ARCHITECTURE.md for the data flow, locking model, and the
 // snapshot wire format.

@@ -18,9 +18,8 @@ type Options struct {
 	// Kernel is the similarity function. nil means the paper's default,
 	// &core.Kast{CutWeight: 2}.
 	Kernel kernel.Kernel
-	// Workers bounds the goroutines used for row computation and snapshot
-	// recomputes; <= 0 means GOMAXPROCS. The same bound is shared with
-	// kernel.ParallelFor, so one setting caps all kernel fan-out.
+	// Workers bounds the goroutines of every kernel fan-out (batch ingest,
+	// query reranks, on-demand Gram matrices); <= 0 means GOMAXPROCS.
 	Workers int
 	// Log, when non-nil, receives every accepted mutation (Add, AddBatch,
 	// Remove) before it is applied, under the engine's write lock, so the
@@ -67,7 +66,10 @@ type Log interface {
 	LogRemove(id int) error
 }
 
-// Engine is an incremental Gram engine. The zero value is not usable; use
+// Engine is a corpus of weighted strings with exact and approximate
+// similarity queries over it. It stores per-string state only — the
+// kernel view, the sketch and the self-similarity k(x, x) — and evaluates
+// every pairwise kernel value on demand. The zero value is not usable; use
 // New. All methods are safe for concurrent use.
 type Engine struct {
 	mu       sync.RWMutex
@@ -77,8 +79,7 @@ type Engine struct {
 	interner *core.Interner
 	workers  int
 
-	entries []*entry       // index = id; nil after Remove
-	g       *linalg.Matrix // raw kernel matrix over all ids, removed rows stale
+	entries []*entry // index = id; nil after Remove
 	active  int
 	seq     uint64 // accepted mutations (adds + removes), the WAL sequence
 	log     Log    // mutation log, nil for a purely in-memory engine
@@ -90,11 +91,14 @@ type Engine struct {
 }
 
 // entry caches one corpus string and its per-string representation.
+// Entries are immutable once committed: Remove only clears the slot, so a
+// pointer copied under the read lock stays valid after it is released.
 type entry struct {
 	x     token.String
 	feats map[string]float64 // featured kernels
 	prep  *core.Prepared     // Kast kernels
 	vec   []float64          // sketch vector; shares storage with the index
+	self  float64            // k(x, x), the normaliser of every cosine score
 }
 
 // Neighbor is one entry of a top-k similarity query.
@@ -112,7 +116,6 @@ func New(opt Options) *Engine {
 	e := &Engine{
 		k:       k,
 		workers: opt.Workers,
-		g:       linalg.NewMatrix(0, 0),
 		log:     opt.Log,
 		met:     opt.Metrics,
 	}
@@ -141,65 +144,33 @@ func (e *Engine) Len() int {
 }
 
 // Add inserts a weighted string into the corpus and returns its id. Ids are
-// assigned sequentially and never reused. Only the new row/column of the
-// Gram matrix is computed: one kernel evaluation against each live entry
-// plus the self-similarity, tile-parallel over the worker pool.
+// assigned sequentially and never reused. The insert pays one kernel
+// evaluation, the self-similarity; pairwise values are computed at query
+// time.
 func (e *Engine) Add(x token.String) int {
-	// Per-string representations are built outside the write lock where
-	// possible; the interner is internally synchronised.
-	ne := e.newEntry(x)
-	e.sketchEntry(ne)
-
-	// The O(N) row of kernel evaluations runs against a snapshot of the
-	// entry slice taken under the read lock, so concurrent readers (and
-	// other Adds in their compute phase) are not blocked by it. Entries
-	// are append-only and never mutated in place (Remove swaps the slot
-	// pointer under the write lock, which the snapshot copy is immune
-	// to), so comparing against the snapshot is safe; a slot removed
-	// mid-flight just yields a value no snapshot will ever read.
-	e.mu.RLock()
-	snap := append([]*entry(nil), e.entries...)
-	e.mu.RUnlock()
-
-	row := e.compareRow(ne, snap)
-	self := e.compare(ne, ne)
-	e.met.KernelEvals.Add(1) // the self-similarity evaluation
+	// Per-string representations are built outside the write lock; the
+	// interner is internally synchronised.
+	ne := e.ingestEntry(x)
+	e.met.KernelEvals.Inc()
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n := len(e.entries)
-	rowcol := make([]float64, n+1)
-	copy(rowcol, row)
-	if len(snap) < n {
-		// Entries added between snapshot and lock: compute the short tail
-		// under the write lock.
-		copy(rowcol[len(snap):n], e.compareRow(ne, e.entries[len(snap):n]))
-	}
-	rowcol[n] = self
-
+	id := len(e.entries)
 	if e.log != nil {
-		//iokvet:allow lockscope(WAL append under e.mu is the documented durability point: the entry must be logged before any reader can observe it in the gram)
-		if err := e.log.LogAdd(n, ne.x); err != nil && e.logErr == nil {
-			e.logErr = fmt.Errorf("engine: log add %d: %w", n, err)
+		//iokvet:allow lockscope(WAL append under e.mu is the documented durability point: the entry must be logged before any reader can observe it)
+		if err := e.log.LogAdd(id, ne.x); err != nil && e.logErr == nil {
+			e.logErr = fmt.Errorf("engine: log add %d: %w", id, err)
 		}
 	}
-	e.g.GrowSymmetric(rowcol)
-	e.entries = append(e.entries, ne)
-	e.indexEntry(n, ne)
-	e.active++
-	e.seq++
-	e.met.Adds.Inc()
-	return n
+	e.appendLocked(ne)
+	return id
 }
 
 // AddBatch inserts m strings in one step and returns their ids, which are
-// consecutive. It evaluates exactly the kernel values m sequential Adds
-// would (the new-vs-existing rows plus the new-vs-new triangle) but fans
-// all of them out in a single kernel.ParallelFor — one scheduling barrier
-// instead of m, so small rows no longer starve the worker pool — and
-// commits with a single linalg.GrowSymmetricBlock and a single log record
-// instead of m row growths and m log appends. On a durable engine the log
-// batching dominates: one fsync per batch rather than per trace.
+// consecutive. The representations, sketches and self-similarities of the
+// whole batch are built in one kernel.ParallelFor, and the batch commits
+// with a single log record — on a durable engine, one fsync per batch
+// rather than per trace.
 //
 // The returned error is a persistence error from the attached Log; the
 // in-memory insertion has still happened (see Log).
@@ -209,69 +180,12 @@ func (e *Engine) AddBatch(xs []token.String) ([]int, error) {
 		return nil, nil
 	}
 	nes := make([]*entry, m)
-	kernel.ParallelFor(m, e.workers, func(i int) {
-		nes[i] = e.newEntry(xs[i])
-		e.sketchEntry(nes[i])
-	})
-
-	e.mu.RLock()
-	snap := append([]*entry(nil), e.entries...)
-	e.mu.RUnlock()
-
-	// One flat index space covers both the rows against the existing
-	// corpus and the lower triangle among the new entries, so
-	// load-balancing works across the whole batch. Row t owns the n+t+1
-	// evaluations starting at off[t]; a task decodes its (t, j) by binary
-	// search over the offsets, which keeps the fan-out allocation at O(m)
-	// instead of materialising every pair.
-	n := len(snap)
-	rows := make([][]float64, m)
-	off := make([]int, m+1)
-	for t := 0; t < m; t++ {
-		rows[t] = make([]float64, n+t+1)
-		off[t+1] = off[t] + n + t + 1
-	}
-	kernel.ParallelFor(off[m], e.workers, func(p int) {
-		t := sort.SearchInts(off, p+1) - 1
-		j := p - off[t]
-		if j < n {
-			if old := snap[j]; old != nil {
-				rows[t][j] = e.compare(nes[t], old)
-			}
-			return
-		}
-		rows[t][j] = e.compare(nes[t], nes[j-n])
-	})
-	if e.met.KernelEvals != nil {
-		// m rows against the live snapshot plus the new-vs-new triangle;
-		// counted here in one add rather than atomically in the hot loop.
-		var live int64
-		for _, old := range snap {
-			if old != nil {
-				live++
-			}
-		}
-		e.met.KernelEvals.Add(int64(m)*live + int64(m)*int64(m+1)/2)
-	}
+	kernel.ParallelFor(m, e.workers, func(i int) { nes[i] = e.ingestEntry(xs[i]) })
+	e.met.KernelEvals.Add(int64(m))
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if base := len(e.entries); base > n {
-		// Entries added between snapshot and lock: widen every row and fill
-		// the short tail under the write lock, as Add does.
-		for t := range rows {
-			widened := make([]float64, base+t+1)
-			copy(widened, rows[t][:n])
-			copy(widened[base:], rows[t][n:])
-			copy(widened[n:base], e.compareRow(nes[t], e.entries[n:base]))
-			rows[t] = widened
-		}
-	}
 	first := len(e.entries)
-	ids := make([]int, m)
-	for t := range ids {
-		ids[t] = first + t
-	}
 	var logErr error
 	if e.log != nil {
 		strs := make([]token.String, m)
@@ -286,19 +200,36 @@ func (e *Engine) AddBatch(xs []token.String) ([]int, error) {
 			}
 		}
 	}
-	e.g.GrowSymmetricBlock(rows)
-	e.entries = append(e.entries, nes...)
-	for t, ne := range nes {
-		e.indexEntry(first+t, ne)
+	e.appendLocked(nes...)
+	ids := make([]int, m)
+	for t := range ids {
+		ids[t] = first + t
 	}
-	e.active += m
-	e.seq += uint64(m)
-	e.met.Adds.Add(int64(m))
 	return ids, logErr
 }
 
-// newEntry builds the cached per-string representation for x. Safe for
-// concurrent use.
+// appendLocked commits new entries under the next ids. Caller holds e.mu
+// for writing.
+func (e *Engine) appendLocked(nes ...*entry) {
+	for _, ne := range nes {
+		e.indexEntry(len(e.entries), ne)
+		e.entries = append(e.entries, ne)
+	}
+	e.active += len(nes)
+	e.seq += uint64(len(nes))
+	e.met.Adds.Add(int64(len(nes)))
+}
+
+// ingestEntry builds everything a new corpus entry caches: its kernel
+// view, its sketch and its self-similarity. Safe for concurrent use.
+func (e *Engine) ingestEntry(x token.String) *entry {
+	ne := e.newEntry(x)
+	e.sketchEntry(ne)
+	ne.self = e.compare(ne, ne)
+	return ne
+}
+
+// newEntry builds the cached kernel view for x. Safe for concurrent use.
 func (e *Engine) newEntry(x token.String) *entry {
 	ne := &entry{}
 	switch {
@@ -315,19 +246,18 @@ func (e *Engine) newEntry(x token.String) *entry {
 	return ne
 }
 
-// newQueryEntry builds the representation for a query-only string. Unlike
-// newEntry it never grows the shared interner: unknown query literals get
-// ephemeral scratch ids (core.Interner.PrepareEphemeral), so read-only
-// query traffic — however diverse or adversarial — cannot permanently grow
-// engine memory. Safe for concurrent use.
-func (e *Engine) newQueryEntry(x token.String) *entry {
-	if e.kast == nil {
-		return e.newEntry(x)
+// queryEntry builds this engine's view of a query string. Unlike newEntry
+// it never grows the shared interner: unknown query literals get ephemeral
+// scratch ids (core.Interner.PrepareEphemeral), so read-only query traffic
+// — however diverse or adversarial — cannot permanently grow engine
+// memory. Safe for concurrent use.
+func (e *Engine) queryEntry(tq *TraceQuery) *entry {
+	qe := &entry{x: tq.x, feats: tq.feats}
+	if e.kast != nil {
+		qe.prep = e.interner.PrepareEphemeral(tq.x)
+		qe.x = qe.prep.String()
 	}
-	ne := &entry{}
-	ne.prep = e.interner.PrepareEphemeral(x)
-	ne.x = ne.prep.String()
-	return ne
+	return qe
 }
 
 // sketchEntry fills ne.vec with the entry's sketch. Featured kernels are
@@ -357,22 +287,21 @@ func (e *Engine) indexEntry(id int, ne *entry) {
 	_ = e.ix.Add(id, ne.vec)
 }
 
-// compareRow evaluates the kernel of ne against each entry, fanned out over
-// the worker pool. Nil (removed) slots yield 0; their values are never read.
-func (e *Engine) compareRow(ne *entry, against []*entry) []float64 {
-	if e.met.KernelEvals != nil {
-		var n int64
-		for _, old := range against {
-			if old != nil {
-				n++
-			}
-		}
-		e.met.KernelEvals.Add(n)
-	}
+// compareRow evaluates the kernel between the query qe and each candidate,
+// fanned out over the worker pool. It runs outside e.mu: the candidates
+// are immutable entries copied under the read lock. For a by-id query
+// (qid >= 0) every pair puts the lower id first, the argument order of
+// kernel.Gram, so exact answers equal a brute-force Gram bit for bit even
+// for kernels that are not symmetric in floating point; a trace query
+// (qid < 0) always comes first.
+func (e *Engine) compareRow(qe *entry, qid int, cands []sketch.Candidate, against []*entry) []float64 {
+	e.met.KernelEvals.Add(int64(len(against)))
 	row := make([]float64, len(against))
 	kernel.ParallelFor(len(against), e.workers, func(i int) {
-		if old := against[i]; old != nil {
-			row[i] = e.compare(ne, old)
+		if cands[i].ID < qid {
+			row[i] = e.compare(against[i], qe)
+		} else {
+			row[i] = e.compare(qe, against[i])
 		}
 	})
 	return row
@@ -390,9 +319,8 @@ func (e *Engine) compare(a, b *entry) float64 {
 	}
 }
 
-// Remove deletes the entry with the given id. Its row and column stay in
-// the internal matrix (they are skipped by every snapshot and never
-// recomputed), so removal is O(1).
+// Remove deletes the entry with the given id in O(1): the slot is cleared
+// and the id dropped from the sketch index.
 //
 // Tombstoned slots are not reclaimed: internal storage grows with the total
 // number of ids ever assigned, not the live corpus size. That is the right
@@ -456,45 +384,53 @@ func (e *Engine) Err() error {
 	return e.logErr
 }
 
-// ids returns the live ids in increasing order. Caller must hold e.mu.
-func (e *Engine) idsLocked() []int {
+// live returns the live ids in increasing order with their entries.
+func (e *Engine) live() ([]int, []*entry) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	ids := make([]int, 0, e.active)
+	ens := make([]*entry, 0, e.active)
 	for id, en := range e.entries {
 		if en != nil {
 			ids = append(ids, id)
+			ens = append(ens, en)
 		}
 	}
-	return ids
+	return ids, ens
 }
 
-// Gram returns a snapshot of the raw kernel matrix over the live entries
-// (row/column order = increasing id) together with the ids. The snapshot is
-// a copy: later Add/Remove calls do not mutate it.
+// gram evaluates a Gram matrix over the live entries on demand with
+// kernel.SymmetricGram (row/column order = increasing id, lower id first
+// in every pair, like kernel.Gram). The kernel work runs outside e.mu.
+func (e *Engine) gram(eval func(a, b *entry) float64) (*linalg.Matrix, []int, []*entry) {
+	ids, ens := e.live()
+	n := len(ens)
+	e.met.KernelEvals.Add(int64(n) * int64(n+1) / 2)
+	g := kernel.SymmetricGram(n, e.workers, func(i, j int) float64 { return eval(ens[i], ens[j]) })
+	return g, ids, ens
+}
+
+// Gram returns the raw kernel matrix over the live entries (row/column
+// order = increasing id) together with the ids, evaluated on demand from
+// the cached per-string views: n(n+1)/2 kernel evaluations.
 func (e *Engine) Gram() (*linalg.Matrix, []int) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	ids := e.idsLocked()
-	return e.g.SelectSymmetric(ids), ids
+	g, ids, _ := e.gram(e.compare)
+	return g, ids
 }
 
 // Strings returns copies of the live corpus strings in id order, with their
 // ids.
 func (e *Engine) Strings() ([]token.String, []int) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	ids := e.idsLocked()
-	xs := make([]token.String, len(ids))
-	for i, id := range ids {
-		xs[i] = append(token.String(nil), e.entries[id].x...)
+	ids, ens := e.live()
+	xs := make([]token.String, len(ens))
+	for i, en := range ens {
+		xs[i] = append(token.String(nil), en.x...)
 	}
 	return xs, ids
 }
 
 // StringAt returns a copy of the live corpus string with the given id. ok
-// is false for ids that were never assigned or have been removed. It is the
-// single-entry form of Strings, exported for supervisors (internal/shard)
-// that resolve a query trace from its owner shard before fanning the query
-// out.
+// is false for ids that were never assigned or have been removed.
 func (e *Engine) StringAt(id int) (token.String, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -514,64 +450,52 @@ func (e *Engine) Has(id int) bool {
 }
 
 // NormalizedGram returns the paper's post-processed similarity matrix over
-// the live entries: Eq. 12 normalisation plus PSD repair for Kast kernels,
-// cosine normalisation plus PSD repair otherwise — exactly the
-// PaperSimilarity / CosineSimilarity batch pipelines, fed from the
-// incrementally maintained raw matrix. clipped is the number of negative
-// eigenvalues removed by the repair.
+// the live entries (see NormalizeGram) — exactly the PaperSimilarity /
+// CosineSimilarity batch pipelines, fed from the cached per-string views.
+// clipped is the number of negative eigenvalues removed by the repair.
 func (e *Engine) NormalizedGram() (m *linalg.Matrix, ids []int, clipped int, err error) {
-	e.mu.RLock()
-	ids = e.idsLocked()
-	raw := e.g.SelectSymmetric(ids)
-	var norm *linalg.Matrix
-	if e.kast != nil {
-		xs := make([]token.String, len(ids))
-		for i, id := range ids {
-			xs[i] = e.entries[id].x
-		}
-		norm, err = core.NormalizeGramPaper(raw, xs, e.kast.CutWeight)
-	} else {
-		norm = kernel.NormalizeCosine(raw)
+	raw, ids, ens := e.gram(e.compare)
+	xs := make([]token.String, len(ens))
+	for i, en := range ens {
+		xs[i] = en.x
 	}
-	e.mu.RUnlock()
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	m, clipped, err = kernel.PSDRepair(norm)
+	m, clipped, err = NormalizeGram(e.k, raw, xs)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	return m, ids, clipped, nil
 }
 
+// NormalizeGram applies the paper's post-processing to a raw Gram matrix
+// over xs: Eq. 12 normalisation for Kast kernels, cosine normalisation
+// otherwise, then PSD repair. clipped is the number of negative
+// eigenvalues the repair removed.
+func NormalizeGram(k kernel.Kernel, raw *linalg.Matrix, xs []token.String) (m *linalg.Matrix, clipped int, err error) {
+	norm := raw
+	if kk, ok := k.(*core.Kast); ok {
+		if norm, err = core.NormalizeGramPaper(raw, xs, kk.CutWeight); err != nil {
+			return nil, 0, err
+		}
+	} else {
+		norm = kernel.NormalizeCosine(raw)
+	}
+	return kernel.PSDRepair(norm)
+}
+
+// exactRerank sends a query down the exact path: every live entry is a
+// candidate.
+const exactRerank = math.MaxInt
+
 // Similar returns the k live entries most similar to id, by cosine-
 // normalised kernel value (so entries of very different magnitude rank
-// comparably), in decreasing order. The query entry itself is excluded.
+// comparably), in decreasing order with ties by ascending id. The query
+// entry itself is excluded. It pays one kernel evaluation per live entry.
 func (e *Engine) Similar(id, k int) ([]Neighbor, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if id < 0 || id >= len(e.entries) || e.entries[id] == nil {
-		return nil, fmt.Errorf("engine: no entry with id %d", id)
+	tq, err := e.PrepareStoredQuery(id)
+	if err != nil {
+		return nil, err
 	}
-	self := e.g.At(id, id)
-	out := make([]Neighbor, 0, e.active-1)
-	for j, en := range e.entries {
-		if en == nil || j == id {
-			continue
-		}
-		v := e.g.At(id, j)
-		if d := self * e.g.At(j, j); d > 0 {
-			v /= math.Sqrt(d)
-		} else {
-			v = 0
-		}
-		out = append(out, Neighbor{ID: j, Similarity: v})
-	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Similarity > out[b].Similarity })
-	if k >= 0 && k < len(out) {
-		out = out[:k]
-	}
-	return out, nil
+	return e.SimilarTracePrepared(tq, k, exactRerank)
 }
 
 // DefaultRerankFloor is the minimum candidate over-fetch SimilarApprox and
@@ -587,7 +511,7 @@ const DefaultRerankFloor = 32
 // splitting it across shards.
 func DefaultRerank(k int) int {
 	if k < 0 {
-		return int(^uint(0) >> 1) // all candidates: exact
+		return exactRerank
 	}
 	if r := 4 * k; r > DefaultRerankFloor {
 		return r
@@ -596,12 +520,9 @@ func DefaultRerank(k int) int {
 }
 
 // SimilarApprox is Similar answered from the sketch index: the query id's
-// sketch is scored against every live sketch (O(N * dim) multiply-adds
-// instead of N kernel evaluations for query-by-trace workloads, and a
-// shortlist instead of a full sort here), the top candidates are reranked
-// with the exact cosine-normalised kernel values from the Gram matrix, and
-// the best k are returned in Similar's order (decreasing similarity, ties
-// by ascending id).
+// stored sketch shortlists candidates (through the LSH bands when
+// enabled), the shortlist is reranked with exact cosine-normalised kernel
+// values, and the best k are returned in Similar's order.
 //
 // rerank controls the shortlist: negative picks the default over-fetch
 // (max(4k, DefaultRerankFloor)), 0 skips the exact rerank entirely and
@@ -610,70 +531,44 @@ func DefaultRerank(k int) int {
 // exact over the shortlist: it equals Similar whenever the shortlist
 // contains the true top k.
 func (e *Engine) SimilarApprox(id, k, rerank int) ([]Neighbor, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	if e.ix == nil {
 		return nil, fmt.Errorf("engine: sketching disabled (Options.SketchDim < 0)")
 	}
-	if id < 0 || id >= len(e.entries) || e.entries[id] == nil {
-		return nil, fmt.Errorf("engine: no entry with id %d", id)
+	tq, err := e.PrepareStoredQuery(id)
+	if err != nil {
+		return nil, err
 	}
-	if rerank < 0 {
-		rerank = DefaultRerank(k)
-	}
-	// SearchSelf reuses the stored vector — and, on a banded index, the
-	// stored signature — so by-id queries never pay signature work.
-	if rerank == 0 {
-		return neighbors(e.ix.SearchSelf(id, k)), nil
-	}
-	fetch := rerank
-	if k > fetch {
-		fetch = k
-	}
-	cands := e.ix.SearchSelf(id, fetch)
-	e.met.Reranked.Add(int64(len(cands)))
-	self := e.g.At(id, id)
-	out := make([]Neighbor, 0, len(cands))
-	for _, c := range cands {
-		v := e.g.At(id, c.ID)
-		if d := self * e.g.At(c.ID, c.ID); d > 0 {
-			v /= math.Sqrt(d)
-		} else {
-			v = 0
-		}
-		out = append(out, Neighbor{ID: c.ID, Similarity: v})
-	}
-	SortNeighbors(out)
-	if k >= 0 && k < len(out) {
-		out = out[:k]
-	}
-	return out, nil
+	return e.SimilarTracePrepared(tq, k, rerank)
 }
 
-// TraceQuery is a query trace prepared once for one or more
-// SimilarTracePrepared calls: the canonical string copy, the feature map
-// (featured kernels), and the prepared sketch query (vector, band
-// signature, quantized copy). All of these depend only on the string and
-// the engine configuration — not on any corpus — so one TraceQuery can be
-// shared across every engine built with the same kernel and sketch/ANN
-// configuration. internal/shard prepares the query once and fans the same
-// TraceQuery out to all shards, paying the sketch and signature cost once
-// instead of once per shard.
+// TraceQuery is a query prepared once for one or more
+// SimilarTracePrepared calls: the canonical string, the feature map
+// (featured kernels), the prepared sketch query (vector, band signature,
+// quantized copy) and the self-similarity k(q, q). All of these depend
+// only on the string and the engine configuration — not on any corpus —
+// so one TraceQuery can be shared across every engine built with the same
+// kernel and sketch/ANN configuration. internal/shard prepares the query
+// once and fans the same TraceQuery out to all shards, paying the sketch
+// and signature cost once instead of once per shard.
 type TraceQuery struct {
 	x     token.String
 	feats map[string]float64
 	sq    *sketch.Query
-	// self caches k(q, q), which depends only on the string and the
-	// kernel: the fan-out would otherwise recompute it on every shard.
-	self    float64
-	hasSelf bool
+	self  float64
+	// A by-id query (PrepareStoredQuery) names the engine and id of its
+	// stored entry: that engine compares with the stored view and drops
+	// the id from its candidates. Every other engine treats the query as
+	// a trace.
+	owner  *Engine
+	id     int
+	stored *entry
 }
 
 // PrepareTraceQuery builds the corpus-independent representation of a
 // query trace: a defensive copy of the string, its feature map for
-// featured kernels, and — when sketching is enabled — the prepared sketch
-// query. The Kast prepared view is deliberately not built here: it
-// depends on each engine's interner, so SimilarTracePrepared builds it
+// featured kernels, the prepared sketch query when sketching is enabled,
+// and the self-similarity. The Kast prepared view is deliberately not kept:
+// it depends on each engine's interner, so SimilarTracePrepared builds it
 // per call.
 func (e *Engine) PrepareTraceQuery(x token.String) (*TraceQuery, error) {
 	if len(x) == 0 {
@@ -695,24 +590,18 @@ func (e *Engine) PrepareTraceQuery(x token.String) (*TraceQuery, error) {
 	// Self-similarity is corpus-independent (for Kast the interned view
 	// only renames literals, never changes the value), so pay for it once
 	// here instead of once per fan-out shard.
-	qe := &entry{x: tq.x, feats: tq.feats}
-	if e.kast != nil {
-		qe.prep = e.interner.PrepareEphemeral(tq.x)
-		qe.x = qe.prep.String()
-	}
+	qe := e.queryEntry(tq)
 	tq.self = e.compare(qe, qe)
-	tq.hasSelf = true
 	return tq, nil
 }
 
-// PrepareStoredQuery builds a TraceQuery from a live corpus entry,
-// reusing everything the engine already holds for it: the stored string,
-// its feature map, and its sketch vector with the stored band signature.
-// This is PrepareTraceQuery minus all the compute — no sketch, no
-// signature — which is what makes sharded by-id queries as cheap as the
-// single engine's: the owner shard prepares here and the fan-out shards
-// search with the stored byproducts. The result aliases engine storage
-// and must be treated as read-only.
+// PrepareStoredQuery builds a by-id TraceQuery from a live corpus entry,
+// reusing everything the engine already holds for it: the stored view,
+// its feature map, its self-similarity and its sketch vector with the
+// stored band signature. No kernel or sketch work is paid. On this engine
+// SimilarTracePrepared excludes id from the answer; on any other engine
+// (the sharded fan-out) the query is an ordinary trace. The result aliases
+// engine storage and must be treated as read-only.
 func (e *Engine) PrepareStoredQuery(id int) (*TraceQuery, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -720,7 +609,7 @@ func (e *Engine) PrepareStoredQuery(id int) (*TraceQuery, error) {
 		return nil, fmt.Errorf("engine: no entry with id %d", id)
 	}
 	en := e.entries[id]
-	tq := &TraceQuery{x: en.x, feats: en.feats, self: e.g.At(id, id), hasSelf: true}
+	tq := &TraceQuery{x: en.x, feats: en.feats, self: en.self, owner: e, id: id, stored: en}
 	if e.sk != nil {
 		tq.sq = e.ix.SelfQuery(id)
 	}
@@ -746,22 +635,22 @@ func (e *Engine) SimilarTrace(x token.String, k, rerank int) ([]Neighbor, error)
 }
 
 // SimilarTracePrepared is SimilarTrace over an already-prepared query.
-// tq must come from PrepareTraceQuery on this engine or on one with an
-// identical kernel and sketch/ANN configuration (the sharded fan-out);
-// a query prepared without ANN byproducts simply falls back to the flat
-// sketch scan inside the index.
+// tq must come from PrepareTraceQuery or PrepareStoredQuery on this engine
+// or on one with an identical kernel and sketch/ANN configuration (the
+// sharded fan-out); a query prepared without ANN byproducts simply falls
+// back to the flat sketch scan inside the index.
+//
+// Candidates are picked under the read lock; their kernel values are
+// computed after it is released, so a queued writer never waits behind a
+// query's kernel work.
 func (e *Engine) SimilarTracePrepared(tq *TraceQuery, k, rerank int) ([]Neighbor, error) {
 	if len(tq.x) == 0 {
 		return nil, fmt.Errorf("engine: empty query string")
 	}
-	// The per-engine representation is built outside any lock, like Add's
-	// compute phase. For Kast engines the query is prepared against the
-	// shared interner without growing it: unknown literals get ephemeral
-	// scratch ids, so query traffic never costs table memory.
-	qe := &entry{x: tq.x, feats: tq.feats}
-	if e.kast != nil {
-		qe.prep = e.interner.PrepareEphemeral(tq.x)
-		qe.x = qe.prep.String()
+	qe, qid := tq.stored, tq.id
+	if tq.owner != e {
+		// The per-engine view is built outside any lock, like Add's.
+		qe, qid = e.queryEntry(tq), -1
 	}
 	sq := tq.sq
 	if e.sk != nil && sq == nil {
@@ -773,13 +662,11 @@ func (e *Engine) SimilarTracePrepared(tq *TraceQuery, k, rerank int) ([]Neighbor
 			sq = e.ix.PrepareQuery(e.sk.Sketch(qe.x))
 		}
 	}
-	self := tq.self
-	if !tq.hasSelf {
-		self = e.compare(qe, qe)
+	if rerank < 0 {
+		rerank = DefaultRerank(k)
 	}
 
 	e.mu.RLock()
-	defer e.mu.RUnlock()
 	if e.kast != nil && e.interner.Stale(qe.prep) {
 		// A concurrent Add interned one of the query's unknown literals
 		// between preparation and the lock, so an entry committed before the
@@ -787,48 +674,48 @@ func (e *Engine) SimilarTracePrepared(tq *TraceQuery, k, rerank int) ([]Neighbor
 		// Re-prepare under the read lock: no further entry can commit while
 		// it is held, so the refreshed view agrees with every candidate.
 		// (Sketches and self-similarity depend only on the string, not on
-		// the id assignment, so they stay valid.)
+		// the id assignment, so they stay valid.) A stored view has no
+		// unknown literals and is never stale.
 		qe.prep = e.interner.PrepareEphemeral(tq.x)
-	}
-	if rerank < 0 {
-		rerank = DefaultRerank(k)
 	}
 	var cands []sketch.Candidate
 	if e.ix == nil || rerank >= e.active {
-		// Exact path: every live entry is a candidate.
+		// Exact path: every live entry but the query itself is a candidate.
 		cands = make([]sketch.Candidate, 0, e.active)
 		for id, en := range e.entries {
-			if en != nil {
+			if en != nil && id != qid {
 				cands = append(cands, sketch.Candidate{ID: id})
 			}
 		}
 	} else {
 		if rerank == 0 {
-			return neighbors(e.ix.SearchQuery(sq, k, -1)), nil
+			out := neighbors(e.ix.SearchQuery(sq, k, qid))
+			e.mu.RUnlock()
+			return out, nil
 		}
 		fetch := rerank
 		if k > fetch {
 			fetch = k
 		}
-		cands = e.ix.SearchQuery(sq, fetch, -1)
+		cands = e.ix.SearchQuery(sq, fetch, qid)
 		e.met.Reranked.Add(int64(len(cands)))
 	}
-	// The candidate kernel evaluations fan out over the worker pool, like
-	// Add's row computation.
 	against := make([]*entry, len(cands))
 	for i, c := range cands {
 		against[i] = e.entries[c.ID]
 	}
-	row := e.compareRow(qe, against)
-	out := make([]Neighbor, 0, len(cands))
+	e.mu.RUnlock()
+
+	row := e.compareRow(qe, qid, cands, against)
+	out := make([]Neighbor, len(cands))
 	for i, c := range cands {
 		v := row[i]
-		if d := self * e.g.At(c.ID, c.ID); d > 0 {
+		if d := tq.self * against[i].self; d > 0 {
 			v /= math.Sqrt(d)
 		} else {
 			v = 0
 		}
-		out = append(out, Neighbor{ID: c.ID, Similarity: v})
+		out[i] = Neighbor{ID: c.ID, Similarity: v}
 	}
 	SortNeighbors(out)
 	if k >= 0 && k < len(out) {
@@ -847,12 +734,10 @@ func neighbors(cands []sketch.Candidate) []Neighbor {
 	return out
 }
 
-// SortNeighbors orders by decreasing similarity with ties by ascending id
-// — the order Similar produces (its stable sort over an id-ascending scan
-// breaks ties the same way), so rerank results compare equal to Similar's.
-// It is exported because the exact-merge guarantee of internal/shard
-// depends on applying this exact ordering to merged per-shard results;
-// there must be one definition of it.
+// SortNeighbors orders by decreasing similarity with ties by ascending id,
+// the order every query returns. It is exported because the exact-merge
+// guarantee of internal/shard depends on applying this exact ordering to
+// merged per-shard results; there must be one definition of it.
 func SortNeighbors(out []Neighbor) {
 	sort.SliceStable(out, func(a, b int) bool {
 		if out[a].Similarity != out[b].Similarity {
@@ -907,25 +792,16 @@ func (e *Engine) SketchVec(id int) []float64 {
 	return append([]float64(nil), v...)
 }
 
-// GramAt computes, from scratch but reusing every cached per-string view,
-// the raw Kast Gram matrix over the live entries at a different cut weight.
+// GramAt evaluates, on demand from the cached per-string views, the raw
+// Kast Gram matrix over the live entries at a different cut weight.
 // Prepared views are cut-weight independent, so no cache invalidation is
 // needed; only the pair loop is paid. It returns an error for non-Kast
 // engines, whose cached representations do depend on the kernel parameters.
 func (e *Engine) GramAt(cutWeight int) (*linalg.Matrix, []int, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	if e.kast == nil {
 		return nil, nil, fmt.Errorf("engine: GramAt requires a Kast kernel, have %s", e.k.Name())
 	}
 	k := &core.Kast{CutWeight: cutWeight, Viability: e.kast.Viability}
-	ids := e.idsLocked()
-	preps := make([]*core.Prepared, len(ids))
-	for i, id := range ids {
-		preps[i] = e.entries[id].prep
-	}
-	g := kernel.SymmetricGram(len(ids), e.workers, func(i, j int) float64 {
-		return k.ComparePrepared(preps[i], preps[j])
-	})
+	g, ids, _ := e.gram(func(a, b *entry) float64 { return k.ComparePrepared(a.prep, b.prep) })
 	return g, ids, nil
 }

@@ -7,7 +7,6 @@ import (
 	"iokast/internal/core"
 	"iokast/internal/iogen"
 	"iokast/internal/kernel"
-	"iokast/internal/linalg"
 	"iokast/internal/token"
 	"iokast/internal/xrand"
 )
@@ -266,30 +265,4 @@ func randWeighted(r *xrand.Rand, n int) token.String {
 		}
 	}
 	return s
-}
-
-// TestGrowSymmetricMatchesRebuild pins the linalg append path the engine
-// depends on against a naive rebuild.
-func TestGrowSymmetricMatchesRebuild(t *testing.T) {
-	r := xrand.New(42)
-	m := linalg.NewMatrix(0, 0)
-	var rows [][]float64
-	for n := 0; n < 8; n++ {
-		rowcol := make([]float64, n+1)
-		for j := range rowcol {
-			rowcol[j] = float64(r.Intn(100))
-		}
-		m.GrowSymmetric(rowcol)
-		for i := range rows {
-			rows[i] = append(rows[i], rowcol[i])
-		}
-		rows = append(rows, append([]float64(nil), rowcol...))
-		want := linalg.FromRows(rows)
-		if d := m.MaxAbsDiff(want); d != 0 {
-			t.Fatalf("after %d grows: diff %g\n got:\n%v\nwant:\n%v", n+1, d, m, want)
-		}
-	}
-	if !m.IsSymmetric(0) {
-		t.Fatal("grown matrix not symmetric")
-	}
 }

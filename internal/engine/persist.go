@@ -13,43 +13,41 @@ import (
 )
 
 // Snapshot format: a self-describing, CRC-checked dump of the engine state
-// that Restore rebuilds bit-identically. The Gram matrix is persisted as
-// raw float64 bits (matrixio's binary symmetric triangle), not recomputed,
-// so a restored engine serves exactly the matrix the snapshotted one did —
-// including the stale rows of tombstoned ids, which replayed mutations may
-// index past but never read.
+// that Restore rebuilds bit-identically. Every cached float — sketch
+// vectors, band signatures and self-similarities — is persisted as raw
+// bits, so a restore does no kernel or sketch work unless the sketch
+// configuration changed. Pairwise kernel values are never stored; queries
+// compute them on demand.
 //
 // Layout:
 //
 //	magic    "IOKSNAP1" (8 bytes)
-//	version  byte (= 3; version-1 snapshots end the CRC section after the
-//	         entries, version-2 after the sketch config — both are still
-//	         restored, with anything they lack recomputed)
+//	version  byte (= 4; version-3 snapshots are still restored, see selfs)
 //	kernel   uvarint length + kernel.Name() bytes (checked on restore)
 //	seq      uint64 little-endian, mutations applied at capture
-//	numIDs   uvarint, total ids ever assigned (matrix dimension)
+//	numIDs   uvarint, total ids ever assigned (slot count)
 //	active   uvarint, live (non-tombstoned) ids
 //	entries  per id: flag byte 0 (tombstone) or 1 (live);
 //	         if live: uvarint length + canonical token text (token.Parse)
 //	sketch   flag byte 0 (disabled) or 1 (enabled); if enabled: uvarint
-//	         dim + uint64 little-endian seed (version >= 2 only)
+//	         dim + uint64 little-endian seed
 //	ann      flag byte 0 (flat index) or 1 (LSH-banded); if banded:
-//	         uvarint bands + uvarint rows (version >= 3 only)
+//	         uvarint bands + uvarint rows
 //	crc      uint32 little-endian, CRC-32C over everything above
 //	vectors  matrixio.WriteVectors of the sketch index, one slot per id
 //	         (own magic and CRC; only when the sketch flag is 1)
 //	sigs     matrixio.WriteWordVectors of the ANN band signatures, one
 //	         slot per id, width = bands (own magic and CRC; only when the
 //	         ann flag is 1)
-//	triangle matrixio.WriteSymmetricTriangle of the raw Gram matrix
-//	         (own magic and CRC; must be last, the triangle reader may
-//	         buffer to end-of-stream)
+//	selfs    matrixio.WriteVectors of width 1: k(x, x) per live id,
+//	         tombstones absent (own magic and CRC). Version 3 has the full
+//	         raw Gram matrix here instead, as a matrixio symmetric
+//	         triangle; Restore keeps only its diagonal.
 const snapshotMagic = "IOKSNAP1"
 
 const (
-	snapshotVersion   = 3
-	snapshotVersionV2 = 2
-	snapshotVersionV1 = 1
+	snapshotVersion   = 4
+	snapshotVersionV3 = 3
 )
 
 var snapCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -190,8 +188,14 @@ func (e *Engine) snapshotLocked(w io.Writer) error {
 			}
 		}
 	}
-	if err := matrixio.WriteSymmetricTriangle(w, e.g); err != nil {
-		return fmt.Errorf("engine: snapshot matrix: %w", err)
+	selfs := make([][]float64, len(e.entries))
+	for id, en := range e.entries {
+		if en != nil {
+			selfs[id] = []float64{en.self}
+		}
+	}
+	if err := matrixio.WriteVectors(w, 1, selfs); err != nil {
+		return fmt.Errorf("engine: snapshot self-similarities: %w", err)
 	}
 	return nil
 }
@@ -224,7 +228,7 @@ const maxSnapshotEntry = 64 << 20
 // Restore loads a snapshot written by Snapshot into an empty engine
 // configured with the same kernel. Per-string representations (feature
 // maps, interned Kast views) are rebuilt from the canonical strings; the
-// Gram matrix is restored from its persisted bits.
+// self-similarities are restored from their persisted bits.
 func (e *Engine) Restore(r io.Reader) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -243,7 +247,7 @@ func (e *Engine) Restore(r io.Reader) error {
 		return fmt.Errorf("engine: bad snapshot magic %q", head[:len(snapshotMagic)])
 	}
 	version := head[len(snapshotMagic)]
-	if version != snapshotVersion && version != snapshotVersionV2 && version != snapshotVersionV1 {
+	if version != snapshotVersion && version != snapshotVersionV3 {
 		return fmt.Errorf("engine: unsupported snapshot version %d", version)
 	}
 	nameLen, err := binary.ReadUvarint(cr)
@@ -270,8 +274,8 @@ func (e *Engine) Restore(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("engine: restore active count: %w", err)
 	}
-	// 1<<20 matches matrixio's triangle dimension limit, so a corrupted
-	// count is rejected here before the entry slice is allocated.
+	// 1<<20 matches matrixio's slot limit, so a corrupted count is
+	// rejected here before the entry slice is allocated.
 	if active > numIDs || numIDs > 1<<20 {
 		return fmt.Errorf("engine: implausible snapshot counts: %d active of %d ids", active, numIDs)
 	}
@@ -313,50 +317,45 @@ func (e *Engine) Restore(r io.Reader) error {
 		snapDim    uint64
 		snapSeed   uint64
 	)
-	if version >= 2 {
-		flag, err := cr.ReadByte()
-		if err != nil {
-			return fmt.Errorf("engine: restore sketch flag: %w", err)
+	flag, err := cr.ReadByte()
+	if err != nil {
+		return fmt.Errorf("engine: restore sketch flag: %w", err)
+	}
+	switch flag {
+	case 0:
+	case 1:
+		snapSketch = true
+		if snapDim, err = binary.ReadUvarint(cr); err != nil || snapDim == 0 || snapDim > 1<<16 {
+			return fmt.Errorf("engine: restore sketch dim: %v", err)
 		}
-		switch flag {
-		case 0:
-		case 1:
-			snapSketch = true
-			if snapDim, err = binary.ReadUvarint(cr); err != nil || snapDim == 0 || snapDim > 1<<16 {
-				return fmt.Errorf("engine: restore sketch dim: %v", err)
-			}
-			var seedBuf [8]byte
-			if _, err := io.ReadFull(cr, seedBuf[:]); err != nil {
-				return fmt.Errorf("engine: restore sketch seed: %w", err)
-			}
-			snapSeed = binary.LittleEndian.Uint64(seedBuf[:])
-		default:
-			return fmt.Errorf("engine: restore sketch flag: bad value %d", flag)
+		var seedBuf [8]byte
+		if _, err := io.ReadFull(cr, seedBuf[:]); err != nil {
+			return fmt.Errorf("engine: restore sketch seed: %w", err)
 		}
+		snapSeed = binary.LittleEndian.Uint64(seedBuf[:])
+	default:
+		return fmt.Errorf("engine: restore sketch flag: bad value %d", flag)
 	}
 	var (
 		snapANN   bool
 		snapBands uint64
 		snapRows  uint64
 	)
-	if version >= 3 {
-		flag, err := cr.ReadByte()
-		if err != nil {
-			return fmt.Errorf("engine: restore ann flag: %w", err)
+	if flag, err = cr.ReadByte(); err != nil {
+		return fmt.Errorf("engine: restore ann flag: %w", err)
+	}
+	switch flag {
+	case 0:
+	case 1:
+		snapANN = true
+		if snapBands, err = binary.ReadUvarint(cr); err != nil || snapBands == 0 || snapBands > 1<<12 {
+			return fmt.Errorf("engine: restore ann bands: %v", err)
 		}
-		switch flag {
-		case 0:
-		case 1:
-			snapANN = true
-			if snapBands, err = binary.ReadUvarint(cr); err != nil || snapBands == 0 || snapBands > 1<<12 {
-				return fmt.Errorf("engine: restore ann bands: %v", err)
-			}
-			if snapRows, err = binary.ReadUvarint(cr); err != nil || snapRows == 0 || snapRows > 64 {
-				return fmt.Errorf("engine: restore ann rows: %v", err)
-			}
-		default:
-			return fmt.Errorf("engine: restore ann flag: bad value %d", flag)
+		if snapRows, err = binary.ReadUvarint(cr); err != nil || snapRows == 0 || snapRows > 64 {
+			return fmt.Errorf("engine: restore ann rows: %v", err)
 		}
+	default:
+		return fmt.Errorf("engine: restore ann flag: bad value %d", flag)
 	}
 	sum := cr.crc.Sum32()
 	var crcBuf [4]byte
@@ -369,8 +368,9 @@ func (e *Engine) Restore(r io.Reader) error {
 
 	var snapVecs [][]float64
 	if snapSketch {
-		// The block must be consumed to reach the triangle even when this
-		// engine cannot use it (sketching disabled or reconfigured).
+		// The block must be consumed to reach the self-similarities even
+		// when this engine cannot use it (sketching disabled or
+		// reconfigured).
 		vecDim, vecs, err := matrixio.ReadVectors(br, int(numIDs))
 		if err != nil {
 			return fmt.Errorf("engine: restore sketches: %w", err)
@@ -383,8 +383,8 @@ func (e *Engine) Restore(r io.Reader) error {
 	}
 	var snapSigs [][]uint64
 	if snapANN {
-		// Like the vector block, the signature block must be consumed to
-		// reach the triangle even when this engine cannot use it.
+		// Like the vector block, the signature block must be consumed even
+		// when this engine cannot use it.
 		sigWidth, sigs, err := matrixio.ReadWordVectors(br, int(numIDs))
 		if err != nil {
 			return fmt.Errorf("engine: restore signatures: %w", err)
@@ -396,14 +396,8 @@ func (e *Engine) Restore(r io.Reader) error {
 		snapSigs = sigs
 	}
 
-	// numIDs is trustworthy here — the entries section it was read with
-	// just passed its CRC — so it bounds the triangle allocation exactly.
-	g, err := matrixio.ReadSymmetricTriangleMax(br, int(numIDs))
-	if err != nil {
-		return fmt.Errorf("engine: restore matrix: %w", err)
-	}
-	if g.Rows != int(numIDs) {
-		return fmt.Errorf("engine: snapshot matrix is %dx%d for %d ids", g.Rows, g.Cols, numIDs)
+	if err := restoreSelfs(br, version, entries); err != nil {
+		return err
 	}
 
 	if e.sk != nil {
@@ -443,8 +437,46 @@ func (e *Engine) Restore(r io.Reader) error {
 	}
 
 	e.entries = entries
-	e.g = g
 	e.active = gotActive
 	e.seq = seq
+	return nil
+}
+
+// restoreSelfs reads the self-similarity section into the live entries:
+// one float per live id (version 4), or the diagonal of the version-3
+// Gram triangle. len(entries) is trustworthy here — the entries section
+// it was read with passed its CRC — so it bounds either allocation.
+func restoreSelfs(r io.Reader, version byte, entries []*entry) error {
+	if version == snapshotVersionV3 {
+		g, err := matrixio.ReadSymmetricTriangleMax(r, len(entries))
+		if err != nil {
+			return fmt.Errorf("engine: restore matrix: %w", err)
+		}
+		if g.Rows != len(entries) {
+			return fmt.Errorf("engine: snapshot matrix is %dx%d for %d ids", g.Rows, g.Cols, len(entries))
+		}
+		for id, en := range entries {
+			if en != nil {
+				en.self = g.At(id, id)
+			}
+		}
+		return nil
+	}
+	dim, vals, err := matrixio.ReadVectors(r, len(entries))
+	if err != nil {
+		return fmt.Errorf("engine: restore self-similarities: %w", err)
+	}
+	if dim != 1 || len(vals) != len(entries) {
+		return fmt.Errorf("engine: self-similarity block %dx%d for %d ids", len(vals), dim, len(entries))
+	}
+	for id, en := range entries {
+		if en == nil {
+			continue
+		}
+		if vals[id] == nil {
+			return fmt.Errorf("engine: snapshot has no self-similarity for live entry %d", id)
+		}
+		en.self = vals[id][0]
+	}
 	return nil
 }

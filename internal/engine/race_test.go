@@ -136,9 +136,9 @@ func TestEngineConcurrentRemove(t *testing.T) {
 }
 
 // TestEngineConcurrentAddBatch mixes AddBatch with single Adds and
-// readers. The batch path snapshots the corpus, computes outside the
-// lock, and reconciles a concurrently grown tail under the lock; the
-// final state must still equal a batch Gram over the settled corpus.
+// readers. Both build their entries outside the lock and commit under
+// it; the final state must still equal a batch Gram over the settled
+// corpus.
 func TestEngineConcurrentAddBatch(t *testing.T) {
 	xs := corpus(t, 32, 55)
 	e := New(Options{Kernel: &core.Kast{CutWeight: 2}, Workers: 4})
@@ -201,4 +201,68 @@ func TestEngineConcurrentAddBatch(t *testing.T) {
 	if d := final.MaxAbsDiff(want); d != 0 {
 		t.Errorf("post-race Gram differs from batch by %g", d)
 	}
+}
+
+// TestEngineConcurrentQueriesAndRemove runs by-id and trace queries, which
+// evaluate the kernel after releasing the read lock, against concurrent
+// Remove and AddBatch. A candidate removed mid-query is still scored from
+// its immutable entry, every answer stays well formed, and the settled
+// engine answers like a brute-force Gram.
+func TestEngineConcurrentQueriesAndRemove(t *testing.T) {
+	xs := corpus(t, 40, 77)
+	e := New(Options{Kernel: &core.Kast{CutWeight: 2}, ANNBands: 4})
+	if _, err := e.AddBatch(xs[:20]); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
+			if err := e.Remove(2 * i); err != nil {
+				t.Errorf("Remove(%d): %v", 2*i, err)
+				return
+			}
+			if _, err := e.AddBatch(xs[20+2*i : 22+2*i]); err != nil {
+				t.Errorf("AddBatch: %v", err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				id := 1 + 2*((i+r)%10) // odd ids below 20 are never removed
+				ns, err := e.Similar(id, 5)
+				if err != nil {
+					t.Errorf("Similar(%d): %v", id, err)
+					return
+				}
+				if len(ns) != 5 {
+					t.Errorf("Similar(%d) returned %d neighbours, want 5", id, len(ns))
+					return
+				}
+				for _, n := range ns {
+					if n.ID == id {
+						t.Errorf("Similar(%d) returned the query itself", id)
+						return
+					}
+				}
+				if _, err := e.SimilarApprox(id, 5, -1); err != nil {
+					t.Errorf("SimilarApprox(%d): %v", id, err)
+					return
+				}
+				if _, err := e.SimilarTrace(xs[(i+r)%len(xs)], 5, -1); err != nil {
+					t.Errorf("SimilarTrace: %v", err)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	assertByIDMatchesBrute(t, "settled", e)
 }

@@ -1,0 +1,178 @@
+package engine
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"os"
+	"testing"
+
+	"iokast/internal/core"
+	"iokast/internal/kernel"
+	"iokast/internal/linalg"
+	"iokast/internal/token"
+)
+
+// bruteSimilar is the reference answer for the by-id query of ids[qi]:
+// cosine scores read off g, a from-scratch kernel.Gram over the live
+// strings, the query itself excluded, in SortNeighbors order.
+func bruteSimilar(g *linalg.Matrix, ids []int, qi, topk int) []Neighbor {
+	var out []Neighbor
+	for j, id := range ids {
+		if j == qi {
+			continue
+		}
+		v := g.At(qi, j)
+		if d := g.At(qi, qi) * g.At(j, j); d > 0 {
+			v /= math.Sqrt(d)
+		} else {
+			v = 0
+		}
+		out = append(out, Neighbor{ID: id, Similarity: v})
+	}
+	SortNeighbors(out)
+	if topk >= 0 && topk < len(out) {
+		out = out[:topk]
+	}
+	return out
+}
+
+func assertSameNeighbors(t *testing.T, ctx string, want, got []Neighbor) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d neighbors, want %d\n got %v\nwant %v", ctx, len(got), len(want), got, want)
+	}
+	for i := range want {
+		if want[i].ID != got[i].ID || math.Float64bits(want[i].Similarity) != math.Float64bits(got[i].Similarity) {
+			t.Fatalf("%s: neighbor %d = {%d %x}, want {%d %x}", ctx, i,
+				got[i].ID, math.Float64bits(got[i].Similarity), want[i].ID, math.Float64bits(want[i].Similarity))
+		}
+	}
+}
+
+// assertByIDMatchesBrute checks Similar and full-rerank SimilarApprox on
+// every live id against the brute-force Gram.
+func assertByIDMatchesBrute(t *testing.T, ctx string, e *Engine) {
+	t.Helper()
+	xs, ids := e.Strings()
+	g := kernel.Gram(e.Kernel(), xs)
+	for qi, id := range ids {
+		for _, k := range []int{3, -1} {
+			want := bruteSimilar(g, ids, qi, k)
+			got, err := e.Similar(id, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameNeighbors(t, fmt.Sprintf("%s: Similar(%d, %d)", ctx, id, k), want, got)
+			got, err = e.SimilarApprox(id, k, e.Len()-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameNeighbors(t, fmt.Sprintf("%s: SimilarApprox(%d, %d, full)", ctx, id, k), want, got)
+		}
+	}
+}
+
+// spreadCorpus samples n strings across all four generator categories, so
+// neighbour lists mix near-duplicates and strangers.
+func spreadCorpus(t *testing.T, n int, seed uint64) []token.String {
+	all := corpus(t, 110, seed)
+	xs := make([]token.String, n)
+	for i := range xs {
+		xs[i] = all[i*len(all)/n]
+	}
+	return xs
+}
+
+// TestByIDMatchesBruteForceGram: by-id answers are computed on demand, so
+// they must equal the cosine over a from-scratch kernel.Gram bit for bit
+// after every kind of mutation and after a snapshot restore. The plain
+// Subsequence kernel is not symmetric in floating point, which pins the
+// argument order of on-demand pairs to kernel.Gram's (lower id first).
+func TestByIDMatchesBruteForceGram(t *testing.T) {
+	xs := spreadCorpus(t, 14, 21)
+	for _, kern := range []kernel.Kernel{
+		&core.Kast{CutWeight: 2},
+		&kernel.Spectrum{K: 3, Mode: kernel.Count, CutWeight: 2},
+		&kernel.Subsequence{P: 2, Lambda: 0.7, Weighted: true},
+	} {
+		t.Run(kern.Name(), func(t *testing.T) {
+			opt := Options{Kernel: kern, SketchDim: 32, SketchSeed: 3, ANNBands: 4, ANNRows: 4}
+			e := New(opt)
+			if _, err := e.AddBatch(xs[:8]); err != nil {
+				t.Fatal(err)
+			}
+			assertByIDMatchesBrute(t, "AddBatch", e)
+			for _, x := range xs[8:11] {
+				e.Add(x)
+			}
+			assertByIDMatchesBrute(t, "Add", e)
+			for _, id := range []int{0, 5, 9} {
+				if err := e.Remove(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := e.AddBatch(xs[11:]); err != nil {
+				t.Fatal(err)
+			}
+			assertByIDMatchesBrute(t, "Remove", e)
+
+			var buf bytes.Buffer
+			if _, err := e.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			r := New(opt)
+			if err := r.Restore(&buf); err != nil {
+				t.Fatal(err)
+			}
+			assertByIDMatchesBrute(t, "restore", r)
+		})
+	}
+}
+
+// TestRestoreV3Snapshot pins the version-3 reader with a snapshot written
+// before self-similarities replaced the Gram triangle: six Kast entries
+// with id 2 removed, sketch dim 16 and seed 5, 2 ANN bands of 4 rows.
+// The restore keeps only the triangle's diagonal, so it must serve what an
+// engine built live from the same history serves.
+func TestRestoreV3Snapshot(t *testing.T) {
+	data, err := os.ReadFile("testdata/snapshot-v3.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := data[len(snapshotMagic)]; v != snapshotVersionV3 {
+		t.Fatalf("fixture is snapshot version %d, want %d", v, snapshotVersionV3)
+	}
+	opt := Options{Kernel: &core.Kast{CutWeight: 2}, SketchDim: 16, SketchSeed: 5, ANNBands: 2, ANNRows: 4}
+	r := New(opt)
+	if err := r.Restore(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	live := New(opt)
+	for _, x := range corpus(t, 6, 3) {
+		live.Add(x)
+	}
+	if err := live.Remove(2); err != nil {
+		t.Fatal(err)
+	}
+	if r.Seq() != live.Seq() || r.Len() != live.Len() || r.NextID() != live.NextID() {
+		t.Fatalf("restored seq/len/next = %d/%d/%d, want %d/%d/%d",
+			r.Seq(), r.Len(), r.NextID(), live.Seq(), live.Len(), live.NextID())
+	}
+	sketchStatesEqual(t, live, r)
+	for _, id := range []int{0, 1, 3, 4, 5} {
+		if got, want := r.entries[id].self, live.entries[id].self; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("restored k(x%d, x%d) = %v, want %v", id, id, got, want)
+		}
+		want, err := live.Similar(id, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Similar(id, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameNeighbors(t, fmt.Sprintf("Similar(%d)", id), want, got)
+	}
+	assertByIDMatchesBrute(t, "v3 restore", r)
+}

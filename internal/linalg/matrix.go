@@ -60,105 +60,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns a view of row i (shared backing array).
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// GrowSymmetric appends one row and the mirrored column to a square matrix
-// in place. rowcol holds the new row's n+1 entries: rowcol[j] becomes both
-// (n, j) and (j, n) for j < n, and rowcol[n] the new diagonal element. The
-// backing slice grows geometrically, so appending n rows one at a time —
-// the incremental Gram engine's access pattern — costs O(n^2) amortised
-// rather than O(n^3) reallocation.
-func (m *Matrix) GrowSymmetric(rowcol []float64) {
-	if m.Rows != m.Cols {
-		panic(fmt.Sprintf("linalg: GrowSymmetric on non-square %dx%d matrix", m.Rows, m.Cols))
-	}
-	n := m.Rows
-	if len(rowcol) != n+1 {
-		panic(fmt.Sprintf("linalg: GrowSymmetric rowcol has %d entries, want %d", len(rowcol), n+1))
-	}
-	need := (n + 1) * (n + 1)
-	var data []float64
-	if cap(m.Data) >= need {
-		data = m.Data[:need]
-	} else {
-		data = make([]float64, need, 2*need)
-	}
-	// Rewidden rows from the last backwards so in-place growth never
-	// overwrites a row before it is moved.
-	for i := n - 1; i >= 0; i-- {
-		copy(data[i*(n+1):i*(n+1)+n], m.Data[i*n:(i+1)*n])
-		data[i*(n+1)+n] = rowcol[i]
-	}
-	copy(data[n*(n+1):], rowcol)
-	m.Data = data
-	m.Rows, m.Cols = n+1, n+1
-}
-
-// GrowSymmetricBlock appends m rows and their mirrored columns to a square
-// matrix in one reallocation. rows[t] holds the (n+t)-th new row's n+t+1
-// entries: its kernel values against the n existing rows, then against the
-// t earlier rows of the block, then its own diagonal element. Equivalent to
-// m successive GrowSymmetric calls but with a single data movement, which
-// is what makes batched ingestion (engine.AddBatch) cheap: growing row by
-// row pays the row-rewidening copy m times, growing as a block pays it
-// once.
-func (m *Matrix) GrowSymmetricBlock(rows [][]float64) {
-	if m.Rows != m.Cols {
-		panic(fmt.Sprintf("linalg: GrowSymmetricBlock on non-square %dx%d matrix", m.Rows, m.Cols))
-	}
-	n := m.Rows
-	k := len(rows)
-	if k == 0 {
-		return
-	}
-	for t, r := range rows {
-		if len(r) != n+t+1 {
-			panic(fmt.Sprintf("linalg: GrowSymmetricBlock row %d has %d entries, want %d", t, len(r), n+t+1))
-		}
-	}
-	w := n + k // final width
-	need := w * w
-	var data []float64
-	if cap(m.Data) >= need {
-		data = m.Data[:need]
-	} else {
-		data = make([]float64, need, 2*need)
-	}
-	// Rewiden existing rows from the last backwards so in-place growth never
-	// overwrites a row before it is moved, appending the k mirrored columns.
-	for i := n - 1; i >= 0; i-- {
-		copy(data[i*w:i*w+n], m.Data[i*n:(i+1)*n])
-		for t := 0; t < k; t++ {
-			data[i*w+n+t] = rows[t][i]
-		}
-	}
-	// New rows: the provided prefix plus the mirror of later block rows.
-	for t := 0; t < k; t++ {
-		base := (n + t) * w
-		copy(data[base:base+n+t+1], rows[t])
-		for u := t + 1; u < k; u++ {
-			data[base+n+u] = rows[u][n+t]
-		}
-	}
-	m.Data = data
-	m.Rows, m.Cols = w, w
-}
-
-// SelectSymmetric returns the principal submatrix over the given row/column
-// indices, in the given order. Indices may repeat; each must be in range.
-func (m *Matrix) SelectSymmetric(idx []int) *Matrix {
-	if m.Rows != m.Cols {
-		panic(fmt.Sprintf("linalg: SelectSymmetric on non-square %dx%d matrix", m.Rows, m.Cols))
-	}
-	out := NewMatrix(len(idx), len(idx))
-	for a, i := range idx {
-		row := m.Row(i)
-		outRow := out.Row(a)
-		for b, j := range idx {
-			outRow[b] = row[j]
-		}
-	}
-	return out
-}
-
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)

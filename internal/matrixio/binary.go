@@ -11,11 +11,12 @@ import (
 	"iokast/internal/linalg"
 )
 
-// Binary symmetric-triangle format. Gram matrices are symmetric, so the
-// engine's snapshots persist only the lower triangle (diagonal included):
-// n(n+1)/2 float64s instead of n^2, written little-endian and guarded by a
-// CRC so a torn or bit-rotted snapshot is detected instead of silently
-// restoring a wrong matrix.
+// Binary symmetric-triangle format. Gram matrices are symmetric, so
+// version-3 engine snapshots persisted only the lower triangle (diagonal
+// included): n(n+1)/2 float64s instead of n^2, written little-endian and
+// guarded by a CRC so a torn or bit-rotted snapshot is detected instead of
+// silently restoring a wrong matrix. The engine still reads it to restore
+// such snapshots.
 //
 // Layout:
 //

@@ -9,10 +9,10 @@ import (
 )
 
 // Binary vector-block format. The engine's snapshots persist the sketch
-// index — one fixed-width float64 vector per id slot, with tombstoned
-// slots absent — as raw little-endian bits guarded by a CRC, mirroring the
-// symmetric-triangle format used for the Gram matrix: restoring must be
-// bit-identical, and corruption must be detected, never silently loaded.
+// index and the self-similarities — one fixed-width float64 vector per id
+// slot, with tombstoned slots absent — as raw little-endian bits guarded
+// by a CRC: restoring must be bit-identical, and corruption must be
+// detected, never silently loaded.
 //
 // Layout:
 //
@@ -24,8 +24,8 @@ import (
 //	crc     uint32 little-endian, CRC-32 (Castagnoli) over magic|count|dim|slots
 //
 // Reading consumes exactly the bytes of the block (no read-ahead), so a
-// vector block can be embedded mid-stream — the engine snapshot places it
-// between the entry section and the trailing Gram triangle.
+// vector block can be embedded mid-stream — the engine snapshot places
+// its sketch block between the entry section and the signature block.
 const vectorMagic = "IOKVEC1\n"
 
 // maxVectorDim bounds the persisted vector width; sketches are a few

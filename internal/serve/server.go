@@ -12,7 +12,6 @@ import (
 	"iokast/internal/core"
 	"iokast/internal/engine"
 	"iokast/internal/kernel"
-	"iokast/internal/linalg"
 	"iokast/internal/shard"
 	"iokast/internal/store"
 	"iokast/internal/stream"
@@ -31,9 +30,13 @@ const maxBatchBody = 64 << 20
 // ingests should be split, which also bounds single-record WAL frames.
 const maxBatchTraces = 4096
 
+// maxGramTraces bounds the live corpus GET /gram evaluates on demand: the
+// matrix costs n(n+1)/2 kernel evaluations and n^2 floats of response.
+const maxGramTraces = 1024
+
 // corpus is the query/mutation surface the handlers need; both the single
 // engine.Engine and the multi-shard shard.Sharded satisfy it, so every
-// endpoint except /gram works identically in either mode.
+// endpoint works identically in either mode.
 type corpus interface {
 	Add(x token.String) int
 	AddBatch(xs []token.String) ([]int, error)
@@ -42,7 +45,9 @@ type corpus interface {
 	SimilarApprox(id, k, rerank int) ([]engine.Neighbor, error)
 	SimilarTrace(x token.String, k, rerank int) ([]engine.Neighbor, error)
 	Has(id int) bool
+	Strings() ([]token.String, []int)
 	Len() int
+	InternerSize() int
 	Err() error
 	Kernel() kernel.Kernel
 	SketchConfig() (dim int, seed uint64, enabled bool)
@@ -54,7 +59,6 @@ type corpus interface {
 // state of their own.
 type Server struct {
 	c    corpus
-	eng  *engine.Engine // single-engine mode only: serves /gram
 	st   *store.Store   // single-engine mode: nil without --data-dir
 	sh   *shard.Sharded // sharded mode only
 	cls  *classify.Online
@@ -75,14 +79,12 @@ type Server struct {
 // New serves a single-engine corpus; st may be nil for an in-memory
 // server (no /debug/store).
 func New(eng *engine.Engine, st *store.Store, reg *classify.Registry, copt core.Options) *Server {
-	s := &Server{c: eng, eng: eng, st: st, copt: copt}
+	s := &Server{c: eng, st: st, copt: copt}
 	s.finish(reg)
 	return s
 }
 
-// NewSharded serves a multi-shard corpus. /gram is unavailable in
-// this mode: the corpus maintains no cross-shard Gram entries, which is
-// exactly what lets ingest scale with the shard count.
+// NewSharded serves a multi-shard corpus.
 func NewSharded(sh *shard.Sharded, reg *classify.Registry, copt core.Options) *Server {
 	s := &Server{c: sh, sh: sh, copt: copt}
 	s.finish(reg)
@@ -532,27 +534,25 @@ func (s *Server) handleGram(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, http.StatusMethodNotAllowed, "GET /gram")
 		return
 	}
-	if s.eng == nil {
-		httpError(w, r, http.StatusNotImplemented,
-			"no global Gram matrix in sharded mode (%d shards hold no cross-shard entries); use /similar", s.sh.Shards())
+	// The matrix is evaluated on demand over the live strings in id order,
+	// so both corpus modes serve the same bits.
+	xs, ids := s.c.Strings()
+	if len(xs) > maxGramTraces {
+		httpError(w, r, http.StatusRequestEntityTooLarge,
+			"corpus of %d traces exceeds the /gram limit of %d; use /similar for per-trace neighbours", len(xs), maxGramTraces)
 		return
 	}
-	var (
-		m   *linalg.Matrix
-		ids []int
-	)
-	resp := map[string]any{"kernel": s.eng.Kernel().Name()}
+	k := s.c.Kernel()
+	m := kernel.Gram(k, xs)
+	resp := map[string]any{"kernel": k.Name()}
 	if norm := r.URL.Query().Get("normalized"); norm == "1" || norm == "true" {
 		var clipped int
 		var err error
-		m, ids, clipped, err = s.eng.NormalizedGram()
-		if err != nil {
+		if m, clipped, err = engine.NormalizeGram(k, m, xs); err != nil {
 			httpError(w, r, http.StatusInternalServerError, "normalize: %v", err)
 			return
 		}
 		resp["clipped_eigenvalues"] = clipped
-	} else {
-		m, ids = s.eng.Gram()
 	}
 	rows := make([][]float64, m.Rows)
 	for i := range rows {

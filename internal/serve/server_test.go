@@ -121,6 +121,22 @@ func TestServeErrors(t *testing.T) {
 	doJSON(t, s, http.MethodPost, "/gram", "", http.StatusMethodNotAllowed)
 }
 
+// TestServeGramCap: /gram is evaluated on demand, so a corpus above the
+// cap is refused with a pointer to /similar instead of paying n^2 kernel
+// evaluations.
+func TestServeGramCap(t *testing.T) {
+	s := testServer()
+	traces := make([]string, maxGramTraces+1)
+	for i := range traces {
+		traces[i] = fmt.Sprintf("%q", traceA)
+	}
+	doJSON(t, s, http.MethodPost, "/traces/batch", `{"traces": [`+strings.Join(traces, ", ")+`]}`, http.StatusCreated)
+	resp := doJSON(t, s, http.MethodGet, "/gram", "", http.StatusRequestEntityTooLarge)
+	if msg := resp["error"].(string); !strings.Contains(msg, "/similar") {
+		t.Fatalf("gram error = %q, want a hint to use /similar", msg)
+	}
+}
+
 func TestServeSimilarApprox(t *testing.T) {
 	s := testServer()
 	for _, body := range []string{traceA, traceA, traceB} {

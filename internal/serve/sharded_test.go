@@ -39,8 +39,7 @@ func testShardedServer(t *testing.T, shards int) *Server {
 
 // TestShardedServeLifecycle drives the full HTTP surface against a
 // 3-shard corpus: ingest (single and batch), exact and approximate
-// similarity, query-by-trace, delete, health — everything except /gram,
-// which has no cross-shard matrix to serve and must say so.
+// similarity, query-by-trace, the on-demand Gram matrix, delete, health.
 func TestShardedServeLifecycle(t *testing.T) {
 	s := testShardedServer(t, 3)
 
@@ -73,10 +72,9 @@ func TestShardedServeLifecycle(t *testing.T) {
 		t.Fatalf("query-by-trace neighbors = %v", got)
 	}
 
-	// /gram is explicit about why it cannot answer.
-	resp = doJSON(t, s, http.MethodGet, "/gram", "", http.StatusNotImplemented)
-	if !strings.Contains(resp["error"].(string), "sharded") {
-		t.Fatalf("gram error = %v", resp["error"])
+	resp = doJSON(t, s, http.MethodGet, "/gram", "", http.StatusOK)
+	if ids := resp["ids"].([]any); len(ids) != 5 {
+		t.Fatalf("gram ids = %v", ids)
 	}
 
 	doJSON(t, s, http.MethodDelete, "/traces/1", "", http.StatusOK)
@@ -187,6 +185,55 @@ func TestShardedServeRecovery(t *testing.T) {
 	for i, st := range stats {
 		if dir := st.(map[string]any)["dir"].(string); !strings.Contains(dir, shard.ShardDir(i)) {
 			t.Fatalf("shard %d stats dir = %q", i, dir)
+		}
+	}
+}
+
+// variedTrace returns small traces that differ in length and op mix.
+func variedTrace(i int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%% name=v%d\nopen fh=1\n", i)
+	for j := 0; j <= i%5; j++ {
+		b.WriteString("write fh=1 bytes=1024\n")
+	}
+	for j := 0; j <= i%3; j++ {
+		b.WriteString("lseek fh=1\nread fh=1 bytes=512\n")
+	}
+	b.WriteString("close fh=1\n")
+	return b.String()
+}
+
+// TestShardedGramMatchesSingle: /gram is evaluated on demand over the live
+// strings in global id order, so every shard count serves the single
+// engine's response byte for byte, raw and normalised, after a delete.
+func TestShardedGramMatchesSingle(t *testing.T) {
+	traces := make([]string, 12)
+	for i := range traces {
+		traces[i] = fmt.Sprintf("%q", variedTrace(i))
+	}
+	batch := `{"traces": [` + strings.Join(traces, ", ") + `]}`
+	servers := []*Server{testServer()}
+	for _, n := range []int{1, 2, 4, 7} {
+		servers = append(servers, testShardedServer(t, n))
+	}
+	for _, s := range servers {
+		doJSON(t, s, http.MethodPost, "/traces/batch", batch, http.StatusCreated)
+		doJSON(t, s, http.MethodDelete, "/traces/5", "", http.StatusOK)
+	}
+	get := func(s *Server, target string) string {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d, body %s", target, w.Code, w.Body)
+		}
+		return w.Body.String()
+	}
+	for _, target := range []string{"/gram", "/gram?normalized=1"} {
+		want := get(servers[0], target)
+		for _, s := range servers[1:] {
+			if got := get(s, target); got != want {
+				t.Errorf("GET %s at %d shards differs from the single engine:\n got %s\nwant %s", target, s.sh.Shards(), got, want)
+			}
 		}
 	}
 }

@@ -112,12 +112,7 @@ func (s *Server) ConfigureTelemetry(t Telemetry) {
 	reg.GaugeFunc("iok_corpus_traces", "Live traces in the corpus.", nil,
 		func() float64 { return float64(s.c.Len()) })
 	reg.GaugeFunc("iok_interner_size", "Distinct literals interned across the corpus.", nil,
-		func() float64 {
-			if s.sh != nil {
-				return float64(s.sh.InternerSize())
-			}
-			return float64(s.eng.InternerSize())
-		})
+		func() float64 { return float64(s.c.InternerSize()) })
 	reg.GaugeFunc("iok_stream_live_sessions", "Streaming-ingest sessions currently assembling.", nil,
 		func() float64 { return float64(s.streams.Len()) })
 

@@ -36,10 +36,8 @@ func benchEngineOptions() engine.Options {
 }
 
 // BenchmarkShardedAddBatch ingests N=1024 strings in one batch, single
-// engine vs 4 shards. Sharding drops the pair work from N^2/2 kernel
-// evaluations to N^2/(2*shards) (cross-shard pairs are never computed) and
-// runs the per-shard sub-batches in parallel, so ingest scales near-
-// linearly with the shard count.
+// engine vs 4 shards. Every trace pays one kernel evaluation, its self-
+// similarity, either way; the shards apply their sub-batches in parallel.
 func BenchmarkShardedAddBatch(b *testing.B) {
 	xs := benchStrings(1024)
 	b.Run("single", func(b *testing.B) {
@@ -116,11 +114,11 @@ func BenchmarkShardedSimilar(b *testing.B) {
 }
 
 // BenchmarkShardedSimilarByID answers top-10 by-id approximate queries
-// (?approx=1) over the same corpus. The single engine answers purely from
-// cached state — its Gram row and stored signature — while remote shards,
-// holding no kernel values against a foreign id, must evaluate their
-// shortlists; the stored-query fan-out shares the owner's embedding so
-// that is the only extra work.
+// (?approx=1) over the same corpus. Every engine shortlists from the
+// owner's stored sketch and signature and reranks its shortlist with
+// on-demand kernel values; the owner drops the query's own id. The rerank
+// budget is global, so the shards evaluate about as many kernels as the
+// single engine.
 func BenchmarkShardedSimilarByID(b *testing.B) {
 	const n = 1024
 	xs := benchStrings(n)
@@ -155,12 +153,11 @@ func BenchmarkShardedSimilarByID(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedSimilarExact answers exact top-10 queries over the same
-// corpus. The single engine reads its cached Gram row; the sharded corpus
-// recomputes one kernel row, fanned out across shards — the price of
-// having no cross-shard Gram state, bounded by parallelism. This is the
-// worst case for sharding and is deliberately not in the CI bench gate;
-// BenchmarkShardedSimilar above covers the production query path.
+// BenchmarkShardedSimilarExact answers exact top-10 by-id queries over the
+// same corpus: one kernel evaluation per live entry, fanned out across the
+// shards. It is deliberately not in the CI bench gate;
+// BenchmarkShardedSimilarByID and BenchmarkShardedSimilar above cover the
+// production query paths.
 func BenchmarkShardedSimilarExact(b *testing.B) {
 	const n = 1024
 	xs := benchStrings(n)

@@ -1,5 +1,5 @@
-// Package shard scales the incremental Gram engine past one write lock,
-// one Gram matrix, and one WAL: a Sharded corpus splits the id space
+// Package shard scales the engine past one write lock and one WAL: a
+// Sharded corpus splits the id space
 // across N fully independent engine+store pairs behind a single global
 // API that matches engine.Engine's.
 //
@@ -11,16 +11,16 @@
 // between shards; the MANIFEST of a durable directory pins seed and count
 // so every reopen routes identically. Batch ingest is split into
 // per-shard sub-batches applied in parallel — one WAL record and one
-// fsync per shard — and the pairwise kernel work drops to N^2/(2*shards)
-// because cross-shard pairs are never computed.
+// fsync per shard.
 //
 // # Fan-out queries
 //
 // Normalized similarity k(x,y)/sqrt(k(x,x)k(y,y)) is pairwise, so
 // disjoint partitions merge losslessly: a query is embedded and prepared
 // exactly once (engine.PrepareTraceQuery, or the owner shard's stored
-// state for by-id queries), fanned out to every shard in parallel, and
-// the per-shard top-k merged by (similarity desc, id asc). Exact queries
+// state for by-id queries), fanned out to every shard in parallel — the
+// owner drops a by-id query's own id before truncating — and the
+// per-shard top-k merged by (similarity desc, id asc). Exact queries
 // and covering-rerank approximate queries are bit-identical to the
 // single-engine answer — same ids, same float64 bits, same order — and
 // the approximate path splits one global rerank budget across shards so

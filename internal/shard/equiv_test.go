@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"iokast/internal/cli"
+	"iokast/internal/core"
 	"iokast/internal/engine"
+	"iokast/internal/kernel"
 	"iokast/internal/store"
 	"iokast/internal/token"
 )
@@ -216,5 +218,76 @@ func TestShardedDurableMatchesSingleEngine(t *testing.T) {
 			continue
 		}
 		assertNeighborsEqual(t, fmt.Sprintf("recovered Similar(%d)", id), want, got)
+	}
+}
+
+// TestShardedByIDMatchesBruteForce: by-id queries fan out to every shard,
+// and the owner shard drops the query's own id before truncating to k.
+// Each answer must equal the cosine over a from-scratch kernel.Gram bit for
+// bit. A query whose k-th neighbour lives in its owner shard catches an
+// exclusion applied after per-shard truncation, which would lose that
+// neighbour; every shard count must see such a query.
+func TestShardedByIDMatchesBruteForce(t *testing.T) {
+	all := corpus(t, 110, 13)
+	xs := make([]token.String, 20)
+	for i := range xs {
+		xs[i] = all[i*len(all)/len(xs)]
+	}
+	const k, seed = 4, 5
+	kern := &core.Kast{CutWeight: 2}
+	for _, shards := range equivShardCounts {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sh, err := New(Options{Shards: shards, Seed: seed, Engine: engine.Options{
+				Kernel: &core.Kast{CutWeight: 2}, SketchDim: 32, ANNBands: 4, ANNRows: 4}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sh.AddBatch(xs[:12]); err != nil {
+				t.Fatal(err)
+			}
+			for _, x := range xs[12:] {
+				sh.Add(x)
+			}
+			for _, id := range []int{4, 13} {
+				if err := sh.Remove(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			strs, ids := sh.Strings()
+			g := kernel.Gram(kern, strs)
+			ownerHoldsKth := 0
+			for qi, q := range ids {
+				var want []engine.Neighbor
+				for j, id := range ids {
+					if j == qi {
+						continue
+					}
+					v := g.At(qi, j)
+					if d := g.At(qi, qi) * g.At(j, j); d > 0 {
+						v /= math.Sqrt(d)
+					} else {
+						v = 0
+					}
+					want = append(want, engine.Neighbor{ID: id, Similarity: v})
+				}
+				engine.SortNeighbors(want)
+				want = want[:k]
+				if Route(want[k-1].ID, seed, shards) == Route(q, seed, shards) {
+					ownerHoldsKth++
+				}
+				got, err := sh.Similar(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertNeighborsEqual(t, fmt.Sprintf("Similar(%d)", q), want, got)
+				if got, err = sh.SimilarApprox(q, k, len(ids)); err != nil {
+					t.Fatal(err)
+				}
+				assertNeighborsEqual(t, fmt.Sprintf("SimilarApprox(%d, full)", q), want, got)
+			}
+			if ownerHoldsKth == 0 {
+				t.Fatalf("no query has its %d-th neighbour in its owner shard", k)
+			}
+		})
 	}
 }

@@ -1,4 +1,4 @@
-// Package shard scales the incremental Gram engine horizontally: a Sharded
+// Package shard scales the engine horizontally: a Sharded
 // supervisor owns N independent engine+store pairs, routes every mutation
 // to exactly one shard by a deterministic seeded hash of the trace's global
 // id, and answers similarity queries by fanning the query out to all shards
@@ -10,18 +10,14 @@
 // corpus partitions, the global top-k is therefore exactly the merge of the
 // per-shard top-k lists: every member of the global top-k is in the top-k
 // of its own shard, so fetching k candidates from each shard and re-sorting
-// by (score, id) reproduces the single-engine answer bit for bit (every
-// kernel in this project accumulates integer-valued products in float64,
-// which is exact, so a score computed in any shard's interner equals the
-// score the single engine would store). What sharding gives up is the
-// cross-shard Gram entries: a Sharded corpus has no global Gram matrix, and
-// Similar recomputes one kernel row at query time (parallel across shards)
-// instead of reading cached matrix entries.
+// by (score, id) reproduces the single-engine answer bit for bit (the
+// Kast and feature-map kernels accumulate integer-valued products in
+// float64, which is exact, so a score computed in any shard's interner
+// equals the score the single engine computes).
 //
-// What the supervisor buys: ingest work drops from O(N) kernel evaluations
-// per insertion to O(N/shards), each shard has its own write lock, WAL and
-// snapshot chain (no global mutex, no O(N) row growth on one matrix), and
-// recovery opens all shards concurrently.
+// What the supervisor buys: each shard has its own write lock, WAL and
+// snapshot chain (no global mutex), a query's kernel work is spread over
+// the shards in parallel, and recovery opens all shards concurrently.
 package shard
 
 // Route maps a global trace id to its owner shard, deterministically in

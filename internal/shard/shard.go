@@ -287,9 +287,9 @@ func (s *Sharded) buildMapping() error {
 
 // Add inserts a weighted string and returns its global id. Ids are assigned
 // sequentially and never reused; the entry lives only in its routed shard,
-// so the insertion pays one kernel evaluation per entry of that shard — a
-// 1/Shards fraction of the single-engine cost. Persistence failures surface
-// through Err, exactly as on the single engine.
+// which pays the insertion's one kernel evaluation, the self-similarity.
+// Persistence failures surface through Err, exactly as on the single
+// engine.
 func (s *Sharded) Add(x token.String) int {
 	s.ingest.Lock()
 	defer s.ingest.Unlock()
@@ -407,23 +407,23 @@ func (s *Sharded) resolve(id int) (token.String, loc, error) {
 }
 
 // storedQuery resolves a global id and prepares the fan-out query from
-// the owner engine's stored state — string, feature map, sketch vector,
-// band signature — without recomputing any of it. This keeps by-id
-// queries as cheap as on the single engine: the embedding was paid at
-// ingest, never per query.
-func (s *Sharded) storedQuery(id int) (*engine.TraceQuery, loc, error) {
+// the owner engine's stored state — view, feature map, self-similarity,
+// sketch vector, band signature — without recomputing any of it: the
+// embedding was paid at ingest, never per query. The owner engine
+// excludes the id from its own candidates; the other shards see a trace.
+func (s *Sharded) storedQuery(id int) (*engine.TraceQuery, error) {
 	s.mu.RLock()
 	if id < 0 || id >= len(s.locals) {
 		s.mu.RUnlock()
-		return nil, loc{}, fmt.Errorf("shard: no entry with id %d", id)
+		return nil, fmt.Errorf("shard: no entry with id %d", id)
 	}
 	lc := s.locals[id]
 	s.mu.RUnlock()
 	tq, err := s.engines[lc.shard].PrepareStoredQuery(lc.local)
 	if err != nil {
-		return nil, loc{}, fmt.Errorf("shard: no entry with id %d", id)
+		return nil, fmt.Errorf("shard: no entry with id %d", id)
 	}
-	return tq, lc, nil
+	return tq, nil
 }
 
 // shardRerank resolves the caller's (k, rerank) into the per-shard
@@ -463,19 +463,15 @@ func (s *Sharded) prepareQuery(x token.String) (*engine.TraceQuery, error) {
 	return s.engines[0].PrepareTraceQuery(x)
 }
 
-// fanOut runs SimilarTracePrepared(tq, k, rerank) on every shard except
-// skip (pass -1 to query all) in parallel, returning the per-shard results
-// with local ids. The skipped slot is left nil for the caller to fill —
-// by-id queries answer the owner shard from its cached Gram row instead of
-// recomputing kernel values.
-func (s *Sharded) fanOut(tq *engine.TraceQuery, k, rerank, skip int) ([][]engine.Neighbor, error) {
+// query runs SimilarTracePrepared(tq, k, rerank) on every shard in
+// parallel and merges the per-shard top-k exactly: scores are pairwise, so
+// sorting the union by (score desc, id asc) and truncating to k reproduces
+// the global top-k.
+func (s *Sharded) query(tq *engine.TraceQuery, k, rerank int) ([]engine.Neighbor, error) {
 	res := make([][]engine.Neighbor, s.n)
 	errs := make([]error, s.n)
 	var wg sync.WaitGroup
 	for sh := range s.engines {
-		if sh == skip {
-			continue
-		}
 		wg.Add(1)
 		go func(sh int) {
 			defer wg.Done()
@@ -495,7 +491,9 @@ func (s *Sharded) fanOut(tq *engine.TraceQuery, k, rerank, skip int) ([][]engine
 			return nil, fmt.Errorf("shard %d: %w", sh, err)
 		}
 	}
-	return res, nil
+	merged := s.merge(res)
+	sortNeighbors(merged)
+	return truncate(merged, k), nil
 }
 
 // merge maps the per-shard results to global ids and concatenates them,
@@ -518,27 +516,16 @@ func (s *Sharded) merge(res [][]engine.Neighbor) []engine.Neighbor {
 
 // Similar returns the k live entries most similar to the given global id,
 // bit-identical to what a single engine over the same corpus would return
-// (same ids, same float bits, same order). The owner shard answers from
-// its cached Gram row — exactly like the single engine — while the other
-// shards, which hold no kernel values against the query, recompute their
-// rows on the exact path in parallel; because scores are pairwise, merging
-// the per-shard top-k by (score desc, id asc) reproduces the global top-k
-// exactly.
+// (same ids, same float bits, same order) for kernels symmetric in
+// floating point, Kast and the featured kernels among them. Every shard
+// runs the exact path in parallel, one kernel evaluation per live entry;
+// the owner shard drops the query's own id before truncating.
 func (s *Sharded) Similar(id, k int) ([]engine.Neighbor, error) {
-	tq, lc, err := s.storedQuery(id)
+	tq, err := s.storedQuery(id)
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.fanOut(tq, k, exactRerank, lc.shard)
-	if err != nil {
-		return nil, err
-	}
-	if res[lc.shard], err = s.engines[lc.shard].Similar(lc.local, k); err != nil {
-		return nil, err
-	}
-	merged := s.merge(res)
-	sortNeighbors(merged)
-	return truncate(merged, k), nil
+	return s.query(tq, k, exactRerank)
 }
 
 // SimilarApprox is Similar answered from the shards' sketch indexes: each
@@ -549,27 +536,16 @@ func (s *Sharded) Similar(id, k int) ([]engine.Neighbor, error) {
 // identical to Similar whenever they cover the true top k, and always
 // identical when rerank covers the corpus. rerank follows the engine's
 // convention: negative for the default over-fetch, 0 for raw sketch
-// scores. The owner shard answers from its cached Gram row and stored
-// sketch; only the other shards evaluate kernels against the query.
+// scores. The stored sketch and band signature are reused on every shard.
 func (s *Sharded) SimilarApprox(id, k, rerank int) ([]engine.Neighbor, error) {
 	if _, _, enabled := s.SketchConfig(); !enabled {
 		return nil, fmt.Errorf("shard: sketching disabled (Options.SketchDim < 0)")
 	}
-	tq, lc, err := s.storedQuery(id)
+	tq, err := s.storedQuery(id)
 	if err != nil {
 		return nil, err
 	}
-	per := s.shardRerank(k, rerank)
-	res, err := s.fanOut(tq, k, per, lc.shard)
-	if err != nil {
-		return nil, err
-	}
-	if res[lc.shard], err = s.engines[lc.shard].SimilarApprox(lc.local, k, per); err != nil {
-		return nil, err
-	}
-	merged := s.merge(res)
-	sortNeighbors(merged)
-	return truncate(merged, k), nil
+	return s.query(tq, k, s.shardRerank(k, rerank))
 }
 
 // SimilarTrace answers query-by-trace without ingesting: the string is
@@ -586,13 +562,7 @@ func (s *Sharded) SimilarTrace(x token.String, k, rerank int) ([]engine.Neighbor
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.fanOut(tq, k, s.shardRerank(k, rerank), -1)
-	if err != nil {
-		return nil, err
-	}
-	merged := s.merge(res)
-	sortNeighbors(merged)
-	return truncate(merged, k), nil
+	return s.query(tq, k, s.shardRerank(k, rerank))
 }
 
 // sortNeighbors orders merged results by decreasing similarity with ties

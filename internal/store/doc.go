@@ -1,4 +1,4 @@
-// Package store persists the incremental Gram engine: an append-only,
+// Package store persists the engine: an append-only,
 // CRC-checked write-ahead log of canonicalized traces plus periodic binary
 // snapshots of the full engine state, committed with atomic renames. A
 // killed process restarts into a bit-identical engine by restoring the

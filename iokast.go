@@ -66,13 +66,14 @@ type (
 	KPCAResult = kpca.Result
 	// Dataset is a labelled trace collection.
 	Dataset = iogen.Dataset
-	// Engine is an incremental Gram engine: a stateful corpus whose kernel
-	// matrix is maintained under single-trace Add/Remove, paying O(N)
-	// kernel evaluations per insertion instead of a full O(N^2) recompute.
-	// It also maintains a fixed-width sketch per entry (internal/sketch),
-	// so Engine.SimilarApprox and Engine.SimilarTrace answer similarity
-	// queries from an O(N*dim) index scan plus an exact rerank of a small
-	// shortlist — including query-by-trace for strings never ingested.
+	// Engine is a stateful similarity corpus under Add/AddBatch/Remove. It
+	// caches per-string state only — kernel view, sketch, and k(x, x) — so
+	// an insertion pays one kernel evaluation, and queries evaluate
+	// pairwise kernel values on demand. The fixed-width sketch per entry
+	// (internal/sketch) lets Engine.SimilarApprox and Engine.SimilarTrace
+	// answer similarity queries from an index scan plus an exact rerank of
+	// a small shortlist — including query-by-trace for strings never
+	// ingested.
 	Engine = engine.Engine
 	// EngineOptions configure NewEngine.
 	EngineOptions = engine.Options
@@ -145,19 +146,19 @@ func PaperNormalized(k *KastKernel) Kernel { return core.PaperNormalized{K: k} }
 // Gram computes the kernel matrix over the examples (parallelised).
 func Gram(k Kernel, xs []WeightedString) *Matrix { return kernel.Gram(k, xs) }
 
-// NewEngine returns an empty incremental Gram engine. A nil Kernel in the
-// options means the paper's default, NewKast(2). Engine.Add of each string
-// computes only the new row/column of the Gram matrix, reusing cached
-// per-string representations, and Engine.Gram / Engine.NormalizedGram
-// return snapshots matching what the batch pipeline (Gram, PaperSimilarity)
-// would compute over the same corpus.
+// NewEngine returns an empty engine. A nil Kernel in the options means the
+// paper's default, NewKast(2). Engine.Add of each string caches its
+// per-string representation and self-similarity, and Engine.Gram /
+// Engine.NormalizedGram evaluate, on demand over those cached views,
+// exactly what the batch pipeline (Gram, PaperSimilarity) would compute
+// over the same corpus.
 func NewEngine(opt EngineOptions) *Engine { return engine.New(opt) }
 
 // OpenEngine recovers (or initialises) a durable engine from dir: the
 // newest readable snapshot is restored, log records after it are replayed,
 // and the returned engine persists every further mutation to the store's
 // write-ahead log. After a crash or kill, reopening the same directory
-// yields a bit-identical Gram matrix — no client re-ingestion needed.
+// yields a bit-identical engine — no client re-ingestion needed.
 // Close the store to checkpoint and detach; the engine stays usable in
 // memory afterwards.
 func OpenEngine(dir string, eopt EngineOptions, sopt StoreOptions) (*Engine, *Store, error) {
