@@ -265,6 +265,41 @@ func BenchmarkKastCompare(b *testing.B) {
 	}
 }
 
+// BenchmarkKastComparePrepared times one Kast evaluation the way the
+// server pays for it: ComparePrepared over views prepared once through a
+// shared Interner, on pairs of iogen.LoadCategories traces converted with
+// core.Convert (the request body mix, 4–30 tokens per string).
+func BenchmarkKastComparePrepared(b *testing.B) {
+	const nTraces, nPairs = 256, 1024
+	r := xrand.New(1)
+	in := core.NewInterner()
+	preps := make([]*core.Prepared, nTraces)
+	for i := range preps {
+		tr, err := iogen.GenerateExtended(iogen.LoadCategories[i%len(iogen.LoadCategories)], r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		preps[i] = in.Prepare(core.Convert(tr, core.Options{}))
+	}
+	pairs := make([][2]*core.Prepared, nPairs)
+	for i := range pairs {
+		pairs[i] = [2]*core.Prepared{preps[r.Intn(nTraces)], preps[r.Intn(nTraces)]}
+	}
+	k := &core.Kast{CutWeight: 2}
+	for _, p := range pairs { // size the pooled working memory
+		k.ComparePrepared(p[0], p[1])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%nPairs]
+		kastSink = k.ComparePrepared(p[0], p[1])
+	}
+}
+
+// kastSink keeps benchmarked kernel values live.
+var kastSink float64
+
 // BenchmarkNaiveKastPair is the reference implementation at a size where
 // it is still usable; contrast with BenchmarkKastPair/len=16.
 func BenchmarkNaiveKastPair(b *testing.B) {

@@ -35,6 +35,10 @@ func FuzzKastMatchesNaive(f *testing.F) {
 	f.Add([]byte{0xf1, 0x01, 0xf1}, []byte{0xf1, 0x01}, uint8(3), true)
 	f.Add([]byte{}, []byte{0x55}, uint8(0), false)
 	f.Add([]byte{0x33, 0x33, 0x33, 0x33, 0x33}, []byte{0x33, 0x33, 0x33}, uint8(6), true)
+	// Periodic pairs: every substring recurs, and B positions have several
+	// equally long best matches in A.
+	f.Add([]byte{0x12, 0x23, 0x14, 0x21, 0x13, 0x22, 0x11, 0x24, 0x12, 0x23}, []byte{0x21, 0x13, 0x22, 0x14, 0x23, 0x11, 0x22, 0x12}, uint8(5), false)
+	f.Add([]byte{0x01, 0x12, 0x23, 0x03, 0x11, 0x22, 0x02, 0x13, 0x21, 0x04, 0x12, 0x23}, []byte{0x11, 0x22, 0x03, 0x12, 0x21, 0x02, 0x13}, uint8(4), false)
 
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, cut uint8, total bool) {
 		a := decodeWeighted(rawA, 12)

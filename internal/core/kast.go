@@ -74,68 +74,80 @@ func (k *Kast) Name() string {
 	return fmt.Sprintf("kast(cut=%d,%s)", k.CutWeight, k.Viability)
 }
 
-// Compare implements kernel.Kernel. It runs in O(|A|*|B| + occ) time where
-// occ is the number of common-substring occurrences, using a longest-match
-// DP plus double rolling hashes to group occurrences by substring identity.
-// The naive reference implementation in naive.go cross-checks it in tests.
+// Compare implements kernel.Kernel. It runs in O(|A|*|B| + occ) time and
+// space, where occ is the number of shared-substring occurrences in the two
+// strings. One longest-common-extension DP over A×B decides substring
+// equality exactly: besides the longest shared substring at every start, it
+// names each shared substring by its first occurrence in B, so occurrences
+// are grouped by integer identity and nothing is hashed. The naive
+// reference implementation in naive.go cross-checks it in tests.
 func (k *Kast) Compare(a, b token.String) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
 	av, bv := internPair(a, b)
-	return k.compareViews(av, bv)
+	return k.compareViews(&av, &bv)
 }
 
 // compareViews runs the kernel over two interned views. The views must have
 // been interned over a common literal table (internPair or a shared
 // Interner) so that equal literals carry equal ids.
-func (k *Kast) compareViews(av, bv seqView) float64 {
+func (k *Kast) compareViews(av, bv *seqView) float64 {
 	if len(av.ids) == 0 || len(bv.ids) == 0 {
 		return 0
 	}
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
 
-	// Longest common extension: LA[i] = longest match starting at A[i]
-	// anywhere in B; LB[j] symmetric.
-	la, lb := matchLengths(av.ids, bv.ids)
+	// Longest common extension: la[i] = longest match starting at A[i]
+	// anywhere in B; lb[j] symmetric.
+	s.matchLengths(av.ids, bv.ids)
 
-	table := statsTables.Get().(*statsTable)
-	defer table.release()
+	// Under ViaMaxOccurrence a feature needs an occurrence of weight >= cut
+	// on each side. Weights are >= 1, so the heaviest shared occurrence at a
+	// start is the longest one; if no start on one side reaches the cut, no
+	// substring is viable and the slot and stats work is skipped.
+	cut := k.CutWeight
+	if k.Viability == ViaMaxOccurrence && (!reachesCut(av, s.la, cut) || !reachesCut(bv, s.lb, cut)) {
+		return 0
+	}
+	s.assignSlots()
+	a := occurrences{v: av, lens: s.la, at: s.rowOff}
+	b := occurrences{v: bv, lens: s.lb, at: s.atB}
 
 	// Phase 1: register substrings that have a >= cut occurrence, per side.
 	// Occurrence weight grows with length at a fixed start, so only lengths
 	// >= the minimal qualifying length need registering (for cut <= 1 that
 	// is every length). For ViaTotalWeight all occurrences must accumulate,
 	// so registration starts at length 1.
-	minLen := k.registerFrom
-	registerSide(table, av, la, k.CutWeight, k.Viability, sideA, minLen)
-	registerSide(table, bv, lb, k.CutWeight, k.Viability, sideB, minLen)
+	s.register(a, sideA, k)
+	s.register(b, sideB, k)
 
 	// Phase 2 (ViaMaxOccurrence only): accumulate the weights of ALL
 	// occurrences of registered substrings — including sub-cut occurrences,
 	// which count toward feature values once the substring is viable.
 	if k.Viability == ViaMaxOccurrence {
-		accumulateSide(table, av, la, sideA)
-		accumulateSide(table, bv, lb, sideB)
+		s.accumulate(a, sideA)
+		s.accumulate(b, sideB)
+	}
+	// The stats are final: decide each registered substring's viability once.
+	for _, slot := range s.order {
+		st := &s.slab[slot]
+		st.viable = st.isViable(cut, k.Viability)
 	}
 
-	// Phase 3: per-start maximal viable occurrence length, per side.
-	cut := k.CutWeight
-	viable := func(st *substringStats) bool { return st.isViable(cut, k.Viability) }
-	mvA := maxViableLens(table, av, la, viable)
-	mvB := maxViableLens(table, bv, lb, viable)
-
-	// Phase 4: mark substrings with at least one uncovered occurrence.
-	markUncovered(table, av, la, mvA, viable)
-	markUncovered(table, bv, lb, mvB, viable)
+	// Phases 3 and 4: per start, the maximal viable occurrence length, and
+	// the substrings with at least one uncovered occurrence.
+	s.markUncovered(a)
+	s.markUncovered(b)
 
 	// Phase 5: inner product over surviving features, accumulated in
-	// registration order — a deterministic function of the inputs — so
-	// the float sum is bit-identical across runs (map order would not
-	// be; iokvet's mapiterorder analyzer enforces this).
+	// first-registration order — a deterministic function of the inputs —
+	// so the float sum is bit-identical across runs.
 	var sum float64
-	for i := range table.slab {
-		if st := &table.slab[i]; st.uncovered && viable(st) {
-			sum += float64(st.sumA) * float64(st.sumB)
+	for _, slot := range s.order {
+		if st := &s.slab[slot]; st.viable && st.uncovered {
+			sum += float64(st.sum[sideA]) * float64(st.sum[sideB])
 		}
 	}
 	return sum
@@ -143,7 +155,7 @@ func (k *Kast) compareViews(av, bv seqView) float64 {
 
 // registerFrom returns the minimal occurrence length to register at start i
 // for phase 1.
-func (k *Kast) registerFrom(v seqView, i int, maxLen int) int {
+func (k *Kast) registerFrom(v *seqView, i int, maxLen int) int {
 	if k.Viability == ViaTotalWeight || k.CutWeight <= 1 {
 		return 1
 	}
@@ -164,6 +176,17 @@ func (k *Kast) registerFrom(v seqView, i int, maxLen int) int {
 	return lo
 }
 
+// reachesCut reports whether some shared occurrence in v, the longest at
+// each start per lens, weighs at least cut.
+func reachesCut(v *seqView, lens []int32, cut int) bool {
+	for p, l := range lens {
+		if l > 0 && v.weight(p, int(l)) >= cut {
+			return true
+		}
+	}
+	return false
+}
+
 type side int
 
 const (
@@ -171,266 +194,238 @@ const (
 	sideB
 )
 
-// substringKey identifies a substring by double hash and length; with two
-// independent 64-bit rolling hashes keyed together with the length, a
-// collision between distinct substrings is vanishingly unlikely
-// (~2^-128 per pair) and non-adversarial inputs cannot steer it.
-type substringKey struct {
-	h1, h2 uint64
-	length int32
-}
-
-// statsTable is the shared-substring table: the map indexes a slab of
-// stats appended in registration order. The order is a deterministic
-// function of the two inputs (registration scans positions and lengths in
-// fixed order), so iterating the slab — never the map — keeps float
-// accumulation bit-identical across runs. Tables are pooled, so a kernel
-// evaluation reuses the map buckets and slab of an earlier one instead of
-// allocating per substring.
-type statsTable struct {
-	m    map[substringKey]int32
-	slab []substringStats
-}
-
-var statsTables = sync.Pool{New: func() any {
-	return &statsTable{m: make(map[substringKey]int32)}
-}}
-
-// release empties the table and returns it to the pool.
-func (t *statsTable) release() {
-	clear(t.m)
-	t.slab = t.slab[:0]
-	statsTables.Put(t)
-}
-
-// lookup returns the stats registered for k, or nil.
-func (t *statsTable) lookup(k substringKey) *substringStats {
-	if i, ok := t.m[k]; ok {
-		return &t.slab[i]
-	}
-	return nil
-}
-
-// getOrCreate returns the stats for k, registering a fresh entry in
-// insertion order on first sight. The pointer is valid only until the
-// next getOrCreate, which may grow the slab.
-func (t *statsTable) getOrCreate(k substringKey) *substringStats {
-	i, ok := t.m[k]
-	if !ok {
-		i = int32(len(t.slab))
-		t.m[k] = i
-		t.slab = append(t.slab, substringStats{})
-	}
-	return &t.slab[i]
-}
-
+// substringStats holds one shared substring's statistics, per side.
 type substringStats struct {
-	sumA, sumB int64 // total occurrence weight per side
-	maxA, maxB int32 // maximal single-occurrence weight per side
-	uncovered  bool  // has an occurrence not covered by a longer viable one
+	sum        [2]int64 // total occurrence weight per side
+	peak       [2]int32 // maximal single-occurrence weight per side
+	registered bool     // has a phase-1 occurrence
+	viable     bool     // passes the cut-weight test; set after phase 2
+	uncovered  bool     // has an occurrence not covered by a longer viable one
 }
 
 func (st *substringStats) isViable(cut int, v Viability) bool {
 	switch v {
 	case ViaTotalWeight:
-		return st.sumA >= int64(cut) && st.sumB >= int64(cut)
+		return st.sum[sideA] >= int64(cut) && st.sum[sideB] >= int64(cut)
 	default:
-		return int(st.maxA) >= cut && int(st.maxB) >= cut
+		return int(st.peak[sideA]) >= cut && int(st.peak[sideB]) >= cut
 	}
 }
 
-// seqView is an interned weighted string with prefix weights and rolling
-// hashes for O(1) substring identity.
+// seqView is an interned weighted string: literal ids and prefix weights.
 type seqView struct {
-	ids  []int32
-	pw   []int // pw[i] = sum of weights of tokens [0, i)
-	h1   []uint64
-	h2   []uint64
-	pow1 []uint64
-	pow2 []uint64
+	ids []int32
+	pw  []int // pw[i] = sum of weights of tokens [0, i)
 }
 
-const (
-	hashBase1 = 0x9e3779b97f4a7c15 | 1
-	hashBase2 = 0xc2b2ae3d27d4eb4f | 1
-)
+// newView builds the view of s over its interned literal ids.
+func newView(ids []int32, s token.String) seqView {
+	pw := make([]int, len(s)+1)
+	for i, t := range s {
+		pw[i+1] = pw[i] + t.Weight
+	}
+	return seqView{ids: ids, pw: pw}
+}
 
-// internPair interns both strings over a shared literal table and
-// precomputes prefix structures.
+// internPair interns both strings over a shared literal table.
 func internPair(a, b token.String) (seqView, seqView) {
 	idOf := make(map[string]int32, len(a)+len(b))
-	next := int32(1)
 	intern := func(s token.String) seqView {
-		n := len(s)
-		v := seqView{
-			ids:  make([]int32, n),
-			pw:   make([]int, n+1),
-			h1:   make([]uint64, n+1),
-			h2:   make([]uint64, n+1),
-			pow1: make([]uint64, n+1),
-			pow2: make([]uint64, n+1),
-		}
-		v.pow1[0], v.pow2[0] = 1, 1
+		ids := make([]int32, len(s))
 		for i, t := range s {
 			id, ok := idOf[t.Literal]
 			if !ok {
-				id = next
-				next++
+				id = int32(len(idOf)) + 1
 				idOf[t.Literal] = id
 			}
-			v.ids[i] = id
-			v.pw[i+1] = v.pw[i] + t.Weight
-			v.h1[i+1] = v.h1[i]*hashBase1 + uint64(id)
-			v.h2[i+1] = v.h2[i]*hashBase2 + uint64(id)
-			v.pow1[i+1] = v.pow1[i] * hashBase1
-			v.pow2[i+1] = v.pow2[i] * hashBase2
+			ids[i] = id
 		}
-		return v
+		return newView(ids, s)
 	}
 	return intern(a), intern(b)
 }
 
-// key returns the identity key of the substring [i, i+l).
-func (v seqView) key(i, l int) substringKey {
-	return substringKey{
-		h1:     v.h1[i+l] - v.h1[i]*v.pow1[l],
-		h2:     v.h2[i+l] - v.h2[i]*v.pow2[l],
-		length: int32(l),
-	}
+// weight returns the occurrence weight of the substring [i, i+l).
+func (v *seqView) weight(i, l int) int { return v.pw[i+l] - v.pw[i] }
+
+// scratch is one evaluation's working memory. Substring identity lives in
+// it: a shared substring is named by (j0, l), its first start j0 in B and
+// its length l, and that name maps to a dense slot indexing the stats slab.
+// Every occurrence (p, l) of a side, 1 <= l <= lens[p], finds its slot at
+// slotOf[at[p]+l-1] (see occurrences). Scratches are pooled, so a stream of
+// evaluations reuses the arrays of earlier ones instead of allocating.
+type scratch struct {
+	prev, cur []int32          // rolling DP rows
+	la, lb    []int32          // longest shared substring per start in A, in B
+	rowOff    []int32          // rowOff[i]: where A start i's entries begin in slotOf
+	atB       []int32          // atB[j]: rowOff[i] for an A start i matching lb[j] at B[j]
+	slotOf    []int32          // per A start and length: the first B start, then the slot
+	offB      []int32          // prefix sums of lb
+	slab      []substringStats // one entry per slot
+	order     []int32          // registered slots in first-registration order
 }
 
-// weight returns the occurrence weight of the substring [i, i+l).
-func (v seqView) weight(i, l int) int { return v.pw[i+l] - v.pw[i] }
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
-// matchLengths computes, for every start position of each sequence, the
-// length of the longest substring starting there that also occurs in the
-// other sequence, via the classic longest-common-extension DP with rolling
-// rows (O(n*m) time, O(m) space).
-func matchLengths(a, b []int32) (la, lb []int32) {
+// grow returns buf resized to n zeroed elements, reusing its array when it
+// is large enough.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// matchLengths runs the longest-common-extension DP over A×B. Row i holds
+// LCE(i, j), the length of the longest common prefix of A[i:] and B[j:],
+// for every j; it is built from row i+1 with two rolling arrays, in
+// O(|A|*|B|) time. From the rows it keeps:
+//
+//   - la[i] = max_j LCE(i, j), the longest shared substring at A[i];
+//   - lb[j] = max_i LCE(i, j), and atB[j] = rowOff[i] for an i attaining it;
+//   - firstB(i, l), the first j with LCE(i, j) >= l, for every l <= la[i]:
+//     the first occurrence in B of A[i:i+l]. Scanning row i by ascending j
+//     finds them all in O(|B| + la[i]); they go to slotOf[rowOff[i]+l-1].
+func (s *scratch) matchLengths(a, b []int32) {
 	n, m := len(a), len(b)
-	la = make([]int32, n)
-	lb = make([]int32, m)
-	prev := make([]int32, m+1)
-	cur := make([]int32, m+1)
+	s.la, s.rowOff = grow(s.la, n), grow(s.rowOff, n)
+	s.lb, s.atB = grow(s.lb, m), grow(s.atB, m)
+	s.prev, s.cur = grow(s.prev, m+1), grow(s.cur, m+1)
+	lb, atB, slotOf := s.lb[:m], s.atB[:m], s.slotOf[:0]
+	prev, cur := s.prev, s.cur
 	for i := n - 1; i >= 0; i-- {
-		ai := a[i]
-		for j := m - 1; j >= 0; j-- {
-			var e int32
-			if ai == b[j] {
-				e = prev[j+1] + 1
+		ai, off := a[i], int32(len(slotOf))
+		next, row := prev[1:m+1], cur[:m] // next[j] = LCE(i+1, j+1)
+		var longest int32
+		for j, bj := range b {
+			e := next[j] + 1
+			if ai != bj {
+				e = 0
 			}
-			cur[j] = e
-			if e > la[i] {
-				la[i] = e
-			}
+			row[j] = e
+			longest = max(longest, e)
 			if e > lb[j] {
-				lb[j] = e
+				lb[j], atB[j] = e, off
 			}
 		}
+		// firstB(i, l) for l = 1..la[i], kept out of the loop above so
+		// that loop makes no calls.
+		var l int32
+		for j := 0; l < longest; j++ {
+			for ; l < row[j]; l++ {
+				slotOf = append(slotOf, int32(j))
+			}
+		}
+		s.la[i], s.rowOff[i] = longest, off
 		prev, cur = cur, prev
 	}
-	return la, lb
+	s.slotOf = slotOf
 }
 
-// registerSide inserts phase-1 qualifying occurrences into the table.
-func registerSide(table *statsTable, v seqView, lens []int32, cut int, via Viability, s side, minLenAt func(seqView, int, int) int) {
-	for i := range v.ids {
-		maxLen := int(lens[i])
-		if maxLen == 0 {
+// assignSlots turns the first B starts in slotOf into slots and clears one
+// stats entry per slot. The substring named (j0, l) gets slot
+// offB[j0]+l-1, with offB the prefix sums of lb: a substring first
+// occurring at j0 has length l <= lb[j0], so j0 owns the slots
+// [offB[j0], offB[j0+1]) and distinct substrings get distinct slots.
+func (s *scratch) assignSlots() {
+	s.offB = grow(s.offB, len(s.lb)+1)
+	for j, l := range s.lb {
+		s.offB[j+1] = s.offB[j] + l
+	}
+	for i, at := range s.rowOff {
+		row := s.slotOf[at : at+s.la[i]]
+		for l, j0 := range row {
+			row[l] = s.offB[j0] + int32(l)
+		}
+	}
+	s.slab = grow(s.slab, int(s.offB[len(s.lb)]))
+	s.order = s.order[:0]
+}
+
+// occurrences is one side's shared-substring occurrences: (p, l) for every
+// start p and 1 <= l <= lens[p]. The slots of start p are
+// slotOf[at[p] : at[p]+lens[p]], by length. On side A that is the start's
+// own DP row; a B start j reads the row of an A start whose match at j has
+// length lb[j], since each of its shared substrings is a prefix of that
+// match.
+type occurrences struct {
+	v    *seqView
+	lens []int32
+	at   []int32
+}
+
+// slots returns the slots of the occurrences at start p; index l-1 holds
+// length l.
+func (s *scratch) slots(o occurrences, p int) []int32 {
+	at := o.at[p]
+	return s.slotOf[at : at+o.lens[p]]
+}
+
+// register is phase 1 for one side: it registers, in scan order, every
+// substring with an occurrence there of at least k.registerFrom tokens, and
+// records the occurrence weights the viability test reads.
+func (s *scratch) register(o occurrences, sd side, k *Kast) {
+	for p := range o.lens {
+		slots := s.slots(o, p)
+		if len(slots) == 0 {
 			continue
 		}
-		start := minLenAt(v, i, maxLen)
-		for l := start; l <= maxLen; l++ {
-			st := table.getOrCreate(v.key(i, l))
-			w := v.weight(i, l)
-			if s == sideA {
-				if via == ViaTotalWeight {
-					st.sumA += int64(w)
-				}
-				if int32(w) > st.maxA {
-					st.maxA = int32(w)
-				}
-			} else {
-				if via == ViaTotalWeight {
-					st.sumB += int64(w)
-				}
-				if int32(w) > st.maxB {
-					st.maxB = int32(w)
-				}
+		for l := k.registerFrom(o.v, p, len(slots)); l <= len(slots); l++ {
+			slot := slots[l-1]
+			st := &s.slab[slot]
+			if !st.registered {
+				st.registered = true
+				s.order = append(s.order, slot)
+			}
+			w := o.v.weight(p, l)
+			if k.Viability == ViaTotalWeight {
+				st.sum[sd] += int64(w)
+			}
+			if int32(w) > st.peak[sd] {
+				st.peak[sd] = int32(w)
 			}
 		}
 	}
 }
 
-// accumulateSide adds the weights of every occurrence of already-registered
-// substrings (lookup-only; unregistered substrings cannot become viable).
-func accumulateSide(table *statsTable, v seqView, lens []int32, s side) {
-	for i := range v.ids {
-		maxLen := int(lens[i])
-		for l := 1; l <= maxLen; l++ {
-			st := table.lookup(v.key(i, l))
-			if st == nil {
-				continue
-			}
-			w := int64(v.weight(i, l))
-			if s == sideA {
-				st.sumA += w
-			} else {
-				st.sumB += w
+// accumulate adds the weights of every occurrence of already-registered
+// substrings (unregistered substrings cannot become viable).
+func (s *scratch) accumulate(o occurrences, sd side) {
+	for p := range o.lens {
+		for l, slot := range s.slots(o, p) {
+			if st := &s.slab[slot]; st.registered {
+				st.sum[sd] += int64(o.v.weight(p, l+1))
 			}
 		}
 	}
-}
-
-// maxViableLens returns, per start position, the length of the longest
-// viable shared substring starting there (0 if none).
-func maxViableLens(table *statsTable, v seqView, lens []int32, viable func(*substringStats) bool) []int32 {
-	out := make([]int32, len(v.ids))
-	for i := range v.ids {
-		for l := int(lens[i]); l >= 1; l-- {
-			if st := table.lookup(v.key(i, l)); st != nil && viable(st) {
-				out[i] = int32(l)
-				break
-			}
-		}
-	}
-	return out
 }
 
 // markUncovered sets the uncovered flag on every viable substring that has
-// at least one occurrence in v not properly contained in a longer viable
-// occurrence. An occurrence [i, i+l) is covered iff a viable occurrence
-// [i', i'+l') exists with i' <= i, i'+l' >= i+l and l' > l; using the
-// farthest reach of viable occurrences per start, that reduces to:
+// at least one occurrence on this side not properly contained in a longer
+// viable occurrence. An occurrence [p, p+l) is covered iff a viable
+// occurrence [p', p'+l') exists with p' <= p, p'+l' >= p+l and l' > l.
+// With mv(p), the longest viable length at start p (phase 3), that reduces
+// to:
 //
-//	prefixReach(i-1) >= i+l  (some earlier start covers it), or
-//	maxViable[i] > l         (a longer viable occurrence at the same start).
-func markUncovered(table *statsTable, v seqView, lens []int32, maxViable []int32, viable func(*substringStats) bool) {
-	n := len(v.ids)
-	// prefixReach[i] = max over i' <= i of i' + maxViable[i'] (0 when none).
-	prefixReach := make([]int32, n)
-	var best int32
-	for i := 0; i < n; i++ {
-		if maxViable[i] > 0 {
-			if r := int32(i) + maxViable[i]; r > best {
-				best = r
-			}
+//	mv(p) > l                     (a longer viable occurrence at the same start), or
+//	p'+mv(p') >= p+l for a p' < p (some earlier start covers it).
+//
+// A viable occurrence has l <= mv(p), so only l = mv(p) can escape the
+// first test, and the second needs only the farthest reach of the earlier
+// starts.
+func (s *scratch) markUncovered(o occurrences) {
+	reach := 0
+	for p := range o.lens {
+		slots := s.slots(o, p)
+		mv := len(slots)
+		for mv > 0 && !s.slab[slots[mv-1]].viable {
+			mv--
 		}
-		prefixReach[i] = best
-	}
-	for i := 0; i < n; i++ {
-		maxLen := int(lens[i])
-		for l := 1; l <= maxLen; l++ {
-			st := table.lookup(v.key(i, l))
-			if st == nil || st.uncovered || !viable(st) {
-				continue
-			}
-			end := int32(i + l)
-			coveredByEarlier := i > 0 && prefixReach[i-1] >= end
-			coveredAtSameStart := maxViable[i] > int32(l)
-			if !coveredByEarlier && !coveredAtSameStart {
-				st.uncovered = true
-			}
+		if mv > 0 && p+mv > reach {
+			s.slab[slots[mv-1]].uncovered = true
+			reach = p + mv
 		}
 	}
 }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"iokast/internal/iogen"
 	"iokast/internal/kernel"
 	"iokast/internal/token"
 	"iokast/internal/xrand"
@@ -372,6 +374,25 @@ close fh=2`,
 		xs = append(xs, Convert(tr, Options{}))
 		xs = append(xs, Convert(tr, Options{IgnoreBytes: true}))
 	}
+	// Workload-shaped strings: the request bodies the server compares.
+	r := xrand.New(7)
+	for i := 0; i < 6; i++ {
+		tr, err := iogen.GenerateExtended(iogen.LoadCategories[i%len(iogen.LoadCategories)], r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs = append(xs, Convert(tr, Options{}))
+	}
+	// Periodic strings: every substring recurs, and a position of one
+	// string has several equally long best matches in the other, which
+	// exercises naming each shared substring by its first occurrence.
+	xs = append(xs, periodic(1, 40, 0), periodic(2, 41, 0), periodic(2, 38, 1),
+		periodic(3, 40, 0), periodic(3, 39, 2), periodic(3, 12, 1))
+	in := NewInterner()
+	preps := make([]*Prepared, len(xs))
+	for i, x := range xs {
+		preps[i] = in.Prepare(x)
+	}
 	for _, cut := range []int{1, 2, 4, 8, 64} {
 		fast := &Kast{CutWeight: cut}
 		slow := &NaiveKast{CutWeight: cut}
@@ -382,9 +403,80 @@ close fh=2`,
 					t.Fatalf("cut=%d pair(%d,%d): fast %v != naive %v\nx=%s\ny=%s",
 						cut, i, j, f, s, xs[i].Format(), xs[j].Format())
 				}
+				if p := fast.ComparePrepared(preps[i], preps[j]); p != s {
+					t.Fatalf("cut=%d pair(%d,%d): prepared %v != naive %v\nx=%s\ny=%s",
+						cut, i, j, p, s, xs[i].Format(), xs[j].Format())
+				}
 			}
 		}
 	}
+}
+
+// periodic returns n tokens cycling through the first period literals of
+// "pqr" from phase on, with weights 1..5 in a pattern of period 5.
+func periodic(period, n, phase int) token.String {
+	s := make(token.String, n)
+	for i := range s {
+		s[i] = token.Token{Literal: string(rune('p' + (i+phase)%period)), Weight: 1 + (7*i+phase)%5}
+	}
+	return s
+}
+
+// kernel.Gram evaluates the Kast kernel over views prepared once per
+// string (Kast.PrepareAll); every cell must equal the pairwise Compare bit
+// for bit, empty strings included.
+func TestKastGramMatchesCompare(t *testing.T) {
+	r := xrand.New(5)
+	xs := []token.String{nil, periodic(2, 9, 0)}
+	for i := 0; i < 8; i++ {
+		xs = append(xs, randString(r, 14, 3))
+	}
+	for _, k := range []*Kast{{CutWeight: 2}, {CutWeight: 6}, {CutWeight: 5, Viability: ViaTotalWeight}} {
+		g := kernel.Gram(k, xs)
+		for i := range xs {
+			for j := range xs {
+				if got, want := g.At(i, j), k.Compare(xs[i], xs[j]); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: Gram(%d,%d) = %v, Compare = %v", k.Name(), i, j, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Evaluations share pooled working memory. Concurrent ones over strings
+// of different lengths must neither race nor change any value.
+func TestKastConcurrentComparePrepared(t *testing.T) {
+	r := xrand.New(9)
+	in := NewInterner()
+	var ps []*Prepared
+	for i := 0; i < 12; i++ {
+		ps = append(ps, in.Prepare(randString(r, 24, 3)))
+	}
+	k := &Kast{CutWeight: 2}
+	want := make([][]float64, len(ps))
+	for i := range ps {
+		for j := range ps {
+			want[i] = append(want[i], k.ComparePrepared(ps[i], ps[j]))
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 10; rep++ {
+				for i := range ps {
+					for j := range ps {
+						if got := k.ComparePrepared(ps[i], ps[j]); got != want[i][j] {
+							t.Errorf("pair(%d,%d) = %v concurrently, %v alone", i, j, got, want[i][j])
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // High weights must not overflow the feature arithmetic: weights in the

@@ -7,11 +7,13 @@ import (
 )
 
 // Prepared is a weighted string preprocessed for repeated Kast kernel
-// evaluations: literals interned to integer ids over a shared table, plus
-// the prefix-weight and rolling-hash arrays Kast.Compare builds internally
-// for every pair. Preparing once and comparing many times removes the
-// per-pair preprocessing cost, which is what makes incremental Gram updates
-// cheap (compare internal/engine).
+// evaluations: its literals interned to integer ids over a shared table,
+// plus its prefix weights — the two arrays Kast.Compare otherwise builds for
+// every pair. Substring identity needs nothing per string, since each
+// evaluation derives it exactly from its own A×B match table. Preparing
+// once and comparing many times removes the per-pair interning, which is
+// what keeps the engine's query-time kernel evaluations cheap (compare
+// internal/engine).
 //
 // A Prepared view is independent of the kernel's cut weight and viability
 // variant, so the same view can be reused across kernels with different
@@ -50,24 +52,15 @@ func NewInterner() *Interner {
 	return &Interner{idOf: make(map[string]int32), next: 1}
 }
 
-// Prepare interns x and precomputes its prefix structures. The input string
+// Prepare interns x and precomputes its prefix weights. The input string
 // is copied, so later mutation of x does not affect the view.
 func (in *Interner) Prepare(x token.String) *Prepared {
 	cp := make(token.String, len(x))
 	copy(cp, x)
 
-	n := len(cp)
-	v := seqView{
-		ids:  make([]int32, n),
-		pw:   make([]int, n+1),
-		h1:   make([]uint64, n+1),
-		h2:   make([]uint64, n+1),
-		pow1: make([]uint64, n+1),
-		pow2: make([]uint64, n+1),
-	}
-	v.pow1[0], v.pow2[0] = 1, 1
-	// Only the id table needs the lock; the O(n) prefix/hash build below
-	// runs outside it so concurrent Prepare calls overlap.
+	ids := make([]int32, len(cp))
+	// Only the id table needs the lock; the O(n) prefix-weight build runs
+	// outside it so concurrent Prepare calls overlap.
 	in.mu.Lock()
 	for i, t := range cp {
 		id, ok := in.idOf[t.Literal]
@@ -76,18 +69,10 @@ func (in *Interner) Prepare(x token.String) *Prepared {
 			in.next++
 			in.idOf[t.Literal] = id
 		}
-		v.ids[i] = id
+		ids[i] = id
 	}
 	in.mu.Unlock()
-	for i, t := range cp {
-		id := v.ids[i]
-		v.pw[i+1] = v.pw[i] + t.Weight
-		v.h1[i+1] = v.h1[i]*hashBase1 + uint64(id)
-		v.h2[i+1] = v.h2[i]*hashBase2 + uint64(id)
-		v.pow1[i+1] = v.pow1[i] * hashBase1
-		v.pow2[i+1] = v.pow2[i] * hashBase2
-	}
-	return &Prepared{view: v, str: cp}
+	return &Prepared{view: newView(ids, cp), str: cp}
 }
 
 // Size returns the number of distinct literals interned so far.
@@ -115,16 +100,7 @@ func (in *Interner) PrepareEphemeral(x token.String) *Prepared {
 	cp := make(token.String, len(x))
 	copy(cp, x)
 
-	n := len(cp)
-	v := seqView{
-		ids:  make([]int32, n),
-		pw:   make([]int, n+1),
-		h1:   make([]uint64, n+1),
-		h2:   make([]uint64, n+1),
-		pow1: make([]uint64, n+1),
-		pow2: make([]uint64, n+1),
-	}
-	v.pow1[0], v.pow2[0] = 1, 1
+	ids := make([]int32, len(cp))
 	var unknown []string
 	scratch := make(map[string]int32)
 	in.mu.Lock()
@@ -138,18 +114,10 @@ func (in *Interner) PrepareEphemeral(x token.String) *Prepared {
 				unknown = append(unknown, t.Literal)
 			}
 		}
-		v.ids[i] = id
+		ids[i] = id
 	}
 	in.mu.Unlock()
-	for i, t := range cp {
-		id := v.ids[i]
-		v.pw[i+1] = v.pw[i] + t.Weight
-		v.h1[i+1] = v.h1[i]*hashBase1 + uint64(id)
-		v.h2[i+1] = v.h2[i]*hashBase2 + uint64(id)
-		v.pow1[i+1] = v.pow1[i] * hashBase1
-		v.pow2[i+1] = v.pow2[i] * hashBase2
-	}
-	return &Prepared{view: v, str: cp, unknown: unknown}
+	return &Prepared{view: newView(ids, cp), str: cp, unknown: unknown}
 }
 
 // Stale reports whether any literal that was unknown when p was prepared
@@ -173,7 +141,21 @@ func (in *Interner) Stale(p *Prepared) bool {
 // ComparePrepared is Compare over views prepared by a shared Interner. It
 // produces exactly the same value as Compare on the original strings (the
 // kernel only depends on literal equality, which interning preserves) while
-// skipping the per-pair interning and prefix-structure work.
+// skipping the per-pair interning and prefix-weight work.
 func (k *Kast) ComparePrepared(a, b *Prepared) float64 {
-	return k.compareViews(a.view, b.view)
+	return k.compareViews(&a.view, &b.view)
+}
+
+// PrepareAll prepares every string of xs once over a fresh Interner and
+// returns an evaluator of ComparePrepared on strings i and j, which equals
+// Compare(xs[i], xs[j]) bit for bit and is safe for concurrent calls.
+// kernel.Gram uses it, so a Gram interns each string once instead of twice
+// per pair.
+func (k *Kast) PrepareAll(xs []token.String) func(i, j int) float64 {
+	in := NewInterner()
+	ps := make([]*Prepared, len(xs))
+	for i, x := range xs {
+		ps[i] = in.Prepare(x)
+	}
+	return func(i, j int) float64 { return k.ComparePrepared(ps[i], ps[j]) }
 }

@@ -7,7 +7,7 @@
 // The paper's batch workflow (kernel.Gram) recomputes all n(n+1)/2 kernel
 // values whenever the dataset changes. The engine instead caches, per
 // string, only what every query needs: the per-string representation
-// (the feature map for inner-product kernels, the interned/prefix-hashed
+// (the feature map for inner-product kernels, the interned/prefix-weight
 // view for the Kast kernel), its sketch, and its self-similarity k(x, x),
 // the normaliser of every cosine score. Adding a trace therefore costs
 // one kernel evaluation whatever the corpus size; AddBatch builds a whole

@@ -17,8 +17,19 @@ import (
 // an inner product of per-string feature maps (the baselines in this
 // package), feature maps are computed once per string and reused for every
 // pair, which turns the quadratic pair loop into cheap sparse dot products.
+// Kernels that preprocess strings (the Kast kernel) prepare each string
+// once too.
 func Gram(k Kernel, xs []token.String) *linalg.Matrix {
 	return GramWorkers(k, xs, 0)
+}
+
+// preparer is implemented by kernels that preprocess each string once and
+// evaluate pairs over the preprocessed forms (core.Kast, whose Compare
+// otherwise interns both strings for every pair). PrepareAll returns an
+// evaluator of the kernel on strings i and j of xs, equal to
+// Compare(xs[i], xs[j]) and safe for concurrent calls.
+type preparer interface {
+	PrepareAll(xs []token.String) func(i, j int) float64
 }
 
 // GramWorkers is Gram with an explicit bound on the number of worker
@@ -33,6 +44,9 @@ func GramWorkers(k Kernel, xs []token.String, workers int) *linalg.Matrix {
 		return SymmetricGram(n, workers, func(i, j int) float64 {
 			return dotFeatures(feats[i], feats[j])
 		})
+	}
+	if p, ok := k.(preparer); ok {
+		return SymmetricGram(n, workers, p.PrepareAll(xs))
 	}
 	return SymmetricGram(n, workers, func(i, j int) float64 {
 		return k.Compare(xs[i], xs[j])

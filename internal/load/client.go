@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"strings"
 	"time"
+
+	"iokast/internal/hdr"
 )
 
 // statusClasses is the per-endpoint status-code table: exact codes up to
@@ -18,7 +20,7 @@ const statusMax = 600
 // endpointStats accumulates one worker's view of one endpoint. Workers
 // never share stats objects, so the record path takes no locks.
 type endpointStats struct {
-	hist      Histogram
+	hist      hdr.Histogram
 	statuses  [statusMax]int64
 	transport int64 // requests that never produced an HTTP status
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"iokast/internal/hdr"
 	"iokast/internal/xrand"
 )
 
@@ -12,7 +13,7 @@ import (
 // recorded value is covered by a bucket whose bound is at least as large
 // as the value (so a cumulative "le" exposition is always correct).
 func TestHistogramBuckets(t *testing.T) {
-	var h Histogram
+	var h hdr.Histogram
 	if got := h.Buckets(); got != nil {
 		t.Fatalf("Buckets on empty histogram = %v, want nil", got)
 	}
@@ -59,7 +60,7 @@ func TestHistogramBuckets(t *testing.T) {
 // TestHistogramSum pins that Sum is exact (no bucket quantization) and
 // consistent with Mean.
 func TestHistogramSum(t *testing.T) {
-	var h Histogram
+	var h hdr.Histogram
 	if h.Sum() != 0 {
 		t.Fatalf("Sum on empty histogram = %v", h.Sum())
 	}

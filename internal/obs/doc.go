@@ -3,10 +3,10 @@
 //
 // A Registry owns named metric families — counters, gauges, and
 // log-linear latency histograms — and renders them in the Prometheus
-// text exposition format. Histograms reuse internal/load's HDR bucket
-// geometry (via load.Histogram), so the latencies the server exposes
-// and the latencies the load harness records are quantized identically
-// and can be compared bucket for bucket.
+// text exposition format. Histograms reuse the HDR bucket geometry of
+// internal/hdr, which the load harness (internal/load) records into too,
+// so the latencies the server exposes and the latencies the load harness
+// records are quantized identically and can be compared bucket for bucket.
 //
 // Instruments are nil-safe: every method on a nil *Counter, *Gauge, or
 // *Histogram is a no-op. Deep layers (store, engine, sketch, shard,

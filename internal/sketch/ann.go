@@ -296,24 +296,6 @@ func (ix *Index) SearchQuery(q *Query, k, exclude int) []Candidate {
 	return ix.searchQueryLocked(q, k, exclude)
 }
 
-// SearchSelf searches with the stored vector of a live id, excluding the
-// id itself — the by-id approximate query. On a banded index the stored
-// signature and quantized copy are reused, so no per-query signature work
-// is paid at all. Returns nil for absent or tombstoned ids.
-func (ix *Index) SearchSelf(id, k int) []Candidate {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if id < 0 || id >= len(ix.vecs) || ix.vecs[id] == nil {
-		return nil
-	}
-	q := &Query{Vec: ix.vecs[id]}
-	if a := ix.ann; a != nil {
-		q.sig = a.sigs[id]
-		q.q8 = a.q8[id]
-	}
-	return ix.searchQueryLocked(q, k, id)
-}
-
 // SelfQuery returns a prepared query backed by the stored vector — and,
 // on a banded index, the stored signature and quantized copy — of a live
 // id, for searching *other* indexes built under the same configuration

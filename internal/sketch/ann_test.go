@@ -352,29 +352,13 @@ func TestANNPreparedQuerySharing(t *testing.T) {
 	}
 }
 
-// TestANNSearchSelf asserts the by-id fast path equals preparing the
-// stored vector from scratch.
-func TestANNSearchSelf(t *testing.T) {
-	xs := annCorpus(8, 4, 33)
-	_, ann, vecs := buildIndexes(t, xs, 8, 6, 2)
-	for id := 0; id < len(xs); id += 3 {
-		got := ann.SearchSelf(id, 5)
-		want := ann.Search(vecs[id], 5, id)
-		if !candidatesEqual(got, want) {
-			t.Fatalf("id=%d: SearchSelf diverges from Search with exclude", id)
-		}
-	}
-	if got := ann.SearchSelf(len(xs)+7, 5); got != nil {
-		t.Fatalf("SearchSelf on absent id returned %v", got)
-	}
-}
-
-// TestANNSelfQuery pins the stored-query fast path the sharded by-id
-// fan-out uses: SelfQuery must hand back the stored embedding and
-// signature (no recompute), and searching with it must match SearchSelf.
+// TestANNSelfQuery pins the stored-query fast path the by-id queries use:
+// SelfQuery must hand back the stored embedding and signature (no
+// recompute), and searching with it must match searching with the stored
+// vector prepared from scratch, excluding the id itself.
 func TestANNSelfQuery(t *testing.T) {
 	xs := annCorpus(8, 4, 34)
-	flat, ann, _ := buildIndexes(t, xs, 8, 6, 2)
+	flat, ann, vecs := buildIndexes(t, xs, 8, 6, 2)
 	for _, ix := range []*sketch.Index{flat, ann} {
 		for _, bad := range []int{-1, len(xs), len(xs) + 100} {
 			if q := ix.SelfQuery(bad); q != nil {
@@ -396,9 +380,9 @@ func TestANNSelfQuery(t *testing.T) {
 				t.Fatalf("SelfQuery(%d) = nil for a live id", id)
 			}
 			got := ix.SearchQuery(q, 5, id)
-			want := ix.SearchSelf(id, 5)
+			want := ix.Search(vecs[id], 5, id)
 			if !candidatesEqual(got, want) {
-				t.Fatalf("id=%d: SearchQuery(SelfQuery) diverges from SearchSelf", id)
+				t.Fatalf("id=%d: SearchQuery(SelfQuery) diverges from Search with exclude", id)
 			}
 		}
 	}
@@ -424,7 +408,8 @@ func BenchmarkANNSearch(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ix.SearchSelf(i%len(vecs), 10)
+				id := i % len(vecs)
+				ix.SearchQuery(ix.SelfQuery(id), 10, id)
 			}
 		})
 	}
