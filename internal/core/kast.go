@@ -28,6 +28,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"iokast/internal/token"
@@ -81,6 +82,9 @@ func (k *Kast) Name() string {
 // names each shared substring by its first occurrence in B, so occurrences
 // are grouped by integer identity and nothing is hashed. The naive
 // reference implementation in naive.go cross-checks it in tests.
+// CompareRow computes one string against many prepared ones and shares
+// the match table, and often the whole evaluation, between those that
+// repeat a literal sequence.
 func (k *Kast) Compare(a, b token.String) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
@@ -93,12 +97,16 @@ func (k *Kast) Compare(a, b token.String) float64 {
 // been interned over a common literal table (internPair or a shared
 // Interner) so that equal literals carry equal ids.
 func (k *Kast) compareViews(av, bv *seqView) float64 {
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
+	return k.comparePair(s, av, bv)
+}
+
+// comparePair is one evaluation on the working memory s.
+func (k *Kast) comparePair(s *scratch, av, bv *seqView) float64 {
 	if len(av.ids) == 0 || len(bv.ids) == 0 {
 		return 0
 	}
-	s := scratches.Get().(*scratch)
-	defer scratches.Put(s)
-
 	// Longest common extension: la[i] = longest match starting at A[i]
 	// anywhere in B; lb[j] symmetric.
 	s.matchLengths(av.ids, bv.ids)
@@ -112,9 +120,12 @@ func (k *Kast) compareViews(av, bv *seqView) float64 {
 		return 0
 	}
 	s.assignSlots()
-	a := occurrences{v: av, lens: s.la, at: s.rowOff}
-	b := occurrences{v: bv, lens: s.lb, at: s.atB}
+	return k.evaluate(s, occurrences{v: av, lens: s.la, at: s.rowOff}, occurrences{v: bv, lens: s.lb, at: s.atB})
+}
 
+// evaluate runs phases 1 to 5 over the slots assignSlots named, with every
+// stats entry clear: a's side is A, b's side is B.
+func (k *Kast) evaluate(s *scratch, a, b occurrences) float64 {
 	// Phase 1: register substrings that have a >= cut occurrence, per side.
 	// Occurrence weight grows with length at a fixed start, so only lengths
 	// >= the minimal qualifying length need registering (for cut <= 1 that
@@ -133,7 +144,7 @@ func (k *Kast) compareViews(av, bv *seqView) float64 {
 	// The stats are final: decide each registered substring's viability once.
 	for _, slot := range s.order {
 		st := &s.slab[slot]
-		st.viable = st.isViable(cut, k.Viability)
+		st.viable = st.isViable(k.CutWeight, k.Viability)
 	}
 
 	// Phases 3 and 4: per start, the maximal viable occurrence length, and
@@ -216,15 +227,22 @@ func (st *substringStats) isViable(cut int, v Viability) bool {
 type seqView struct {
 	ids []int32
 	pw  []int // pw[i] = sum of weights of tokens [0, i)
+	// linear: every weight is >= 1 and the total fits in an int32, so no
+	// peak truncates and every substring of at least cut tokens reaches the
+	// cut. CompareRow derives values by a dot product only between linear
+	// views.
+	linear bool
 }
 
 // newView builds the view of s over its interned literal ids.
 func newView(ids []int32, s token.String) seqView {
 	pw := make([]int, len(s)+1)
+	linear := true
 	for i, t := range s {
 		pw[i+1] = pw[i] + t.Weight
+		linear = linear && t.Weight >= 1 && t.Weight <= math.MaxInt32 && pw[i+1] <= math.MaxInt32
 	}
-	return seqView{ids: ids, pw: pw}
+	return seqView{ids: ids, pw: pw, linear: linear}
 }
 
 // internPair interns both strings over a shared literal table.
@@ -263,6 +281,15 @@ type scratch struct {
 	offB      []int32          // prefix sums of lb
 	slab      []substringStats // one entry per slot
 	order     []int32          // registered slots in first-registration order
+
+	// CompareRow's class state for one run (see row.go).
+	bit      []int32        // per slot: its key bit plus one, 0 if none
+	keyBits  int32          // key bits in use
+	key      []byte         // the current candidate's class key
+	classIdx map[string]int // class key -> index into classes
+	classes  []rowClass
+	coefs    []int64 // the classes' coefficients
+	diff     []int64 // difference array the coefficients are summed from
 }
 
 var scratches = sync.Pool{New: func() any { return new(scratch) }}
@@ -341,6 +368,15 @@ func (s *scratch) assignSlots() {
 		}
 	}
 	s.slab = grow(s.slab, int(s.offB[len(s.lb)]))
+	s.order = s.order[:0]
+}
+
+// resetStats clears the stats an evaluation left, which are those of the
+// registered slots, so another evaluation can run over the same slots.
+func (s *scratch) resetStats() {
+	for _, slot := range s.order {
+		s.slab[slot] = substringStats{}
+	}
 	s.order = s.order[:0]
 }
 

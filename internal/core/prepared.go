@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"iokast/internal/token"
@@ -15,12 +16,17 @@ import (
 // what keeps the engine's query-time kernel evaluations cheap (compare
 // internal/engine).
 //
+// Views of one shape — equal literal sequences, whatever the weights —
+// share one id array, which lets Kast.CompareRow share a match table and
+// feature set between them.
+//
 // A Prepared view is independent of the kernel's cut weight and viability
 // variant, so the same view can be reused across kernels with different
 // parameters without invalidation.
 type Prepared struct {
-	view seqView
-	str  token.String
+	view  seqView
+	str   token.String
+	shape int32 // shape number; -1 for ephemeral views
 	// unknown holds the literals that were absent from the shared table when
 	// an ephemeral view was prepared (nil for interned views). They carry
 	// negative scratch ids, which can never collide with table ids; Stale
@@ -34,45 +40,84 @@ func (p *Prepared) String() token.String { return p.str }
 // Len returns the token length of the underlying string.
 func (p *Prepared) Len() int { return len(p.view.ids) }
 
+// Shape returns the number of the view's shape, its literal sequence: two
+// views prepared by one Interner have equal numbers iff their literals are
+// equal token by token. Numbers are dense, in first-seen order, so they
+// differ between Interners that saw strings in different orders; they
+// order work for Kast.CompareRow and never enter a value. Ephemeral views
+// have no shape and return -1.
+func (p *Prepared) Shape() int { return int(p.shape) }
+
 // Interner interns token literals to dense int32 ids shared by every string
-// prepared through it. Views prepared by the same Interner are mutually
-// comparable with Kast.ComparePrepared; views from different Interners are
-// not (their ids come from different tables).
+// prepared through it, and hash-conses the id sequences of the strings
+// themselves: each distinct sequence is stored once, as a shape. Views
+// prepared by the same Interner are mutually comparable with
+// Kast.ComparePrepared and Kast.CompareRow; views from different Interners
+// are not (their ids come from different tables).
 //
-// Prepare is safe for concurrent use. The table only grows: preparing new
+// Prepare is safe for concurrent use. The tables only grow: preparing new
 // strings never invalidates previously returned views.
 type Interner struct {
-	mu   sync.Mutex
-	idOf map[string]int32
-	next int32
+	mu      sync.Mutex
+	idOf    map[string]int32
+	next    int32
+	shapeOf map[uint64]int32 // id-sequence hash -> the newest shape with it
+	shapes  []shape          // by shape number
+	ids     []int32          // Prepare's id buffer, used under mu
 }
 
-// NewInterner returns an empty literal table.
+// shape is one distinct literal-id sequence. Shapes whose sequences hash
+// alike are chained newest first, and a lookup compares the ids, so
+// identity is exact.
+type shape struct {
+	ids  []int32
+	prev int32 // the previous shape with the same hash, or -1
+}
+
+// NewInterner returns an Interner with empty literal and shape tables.
 func NewInterner() *Interner {
-	return &Interner{idOf: make(map[string]int32), next: 1}
+	return &Interner{idOf: make(map[string]int32), next: 1, shapeOf: make(map[uint64]int32)}
 }
 
 // Prepare interns x and precomputes its prefix weights. The input string
-// is copied, so later mutation of x does not affect the view.
+// is copied, so later mutation of x does not affect the view. A string of
+// a shape seen before shares that shape's id array.
 func (in *Interner) Prepare(x token.String) *Prepared {
 	cp := make(token.String, len(x))
 	copy(cp, x)
 
-	ids := make([]int32, len(cp))
-	// Only the id table needs the lock; the O(n) prefix-weight build runs
+	// Only the tables need the lock; the O(n) prefix-weight build runs
 	// outside it so concurrent Prepare calls overlap.
 	in.mu.Lock()
-	for i, t := range cp {
+	ids := in.ids[:0]
+	h := uint64(14695981039346656037) // FNV-1a, one id per step
+	for _, t := range cp {
 		id, ok := in.idOf[t.Literal]
 		if !ok {
 			id = in.next
 			in.next++
 			in.idOf[t.Literal] = id
 		}
-		ids[i] = id
+		ids = append(ids, id)
+		h = (h ^ uint64(uint32(id))) * 1099511628211
 	}
+	in.ids = ids
+	head, ok := in.shapeOf[h]
+	if !ok {
+		head = -1
+	}
+	num := head
+	for num >= 0 && !slices.Equal(in.shapes[num].ids, ids) {
+		num = in.shapes[num].prev
+	}
+	if num < 0 {
+		num = int32(len(in.shapes))
+		in.shapes = append(in.shapes, shape{ids: slices.Clone(ids), prev: head})
+		in.shapeOf[h] = num
+	}
+	ids = in.shapes[num].ids
 	in.mu.Unlock()
-	return &Prepared{view: newView(ids, cp), str: cp}
+	return &Prepared{view: newView(ids, cp), str: cp, shape: num}
 }
 
 // Size returns the number of distinct literals interned so far.
@@ -84,12 +129,13 @@ func (in *Interner) Size() int {
 
 // PrepareEphemeral is Prepare for query-only strings: literals already in
 // the table resolve to their shared ids, but unknown literals are NOT
-// interned — they get negative scratch ids unique within this view, so the
-// shared table never grows from query traffic. A scratch id can never equal
-// a table id (those start at 1 and only grow), and the kernel only compares
-// ids for equality, so an unknown query literal simply never matches any
-// corpus literal — which is exactly right, because a literal absent from
-// the table is absent from every prepared corpus string.
+// interned — they get negative scratch ids unique within this view — and
+// no shape is added, so the shared tables never grow from query traffic.
+// A scratch id can never equal a table id (those start at 1 and only
+// grow), and the kernel only compares ids for equality, so an unknown
+// query literal simply never matches any corpus literal — which is exactly
+// right, because a literal absent from the table is absent from every
+// prepared corpus string.
 //
 // The returned view is valid against corpus views prepared before it. If a
 // concurrent Prepare interns one of the unknown literals afterwards, newer
@@ -117,7 +163,7 @@ func (in *Interner) PrepareEphemeral(x token.String) *Prepared {
 		ids[i] = id
 	}
 	in.mu.Unlock()
-	return &Prepared{view: newView(ids, cp), str: cp, unknown: unknown}
+	return &Prepared{view: newView(ids, cp), str: cp, shape: -1, unknown: unknown}
 }
 
 // Stale reports whether any literal that was unknown when p was prepared

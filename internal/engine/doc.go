@@ -12,8 +12,8 @@
 // the normaliser of every cosine score. Adding a trace therefore costs
 // one kernel evaluation whatever the corpus size; AddBatch builds a whole
 // batch in one bounded parallel fan-out and commits it with one log
-// record. No pairwise value is stored: queries evaluate the kernel
-// against their candidates on demand, and Gram, NormalizedGram and GramAt
+// record. No pairwise value is stored: queries compute the kernel against
+// their candidates on demand, and Gram, NormalizedGram and GramAt
 // evaluate the matrix on demand over the cached views.
 //
 // Results are identical to a from-scratch kernel.Gram over the same
@@ -29,12 +29,20 @@
 // prepare a by-id query from stored state (PrepareStoredQuery) and drop
 // the id itself before truncating; SimilarTrace prepares a query trace
 // ephemerally against the corpus interner, so read-only traffic never
-// grows engine memory. The exact path evaluates the kernel against every
+// grows engine memory. The exact path computes the kernel against every
 // live entry; the approximate path shortlists from the internal sketch
 // index (flat or LSH-banded, see Options.ANNBands and package sketch) and
 // reranks the shortlist exactly. A rerank covering the corpus returns the
 // exact answer bit for bit. Candidates are picked under the read lock and
-// evaluated after it is released. PrepareTraceQuery/PrepareStoredQuery
+// evaluated after it is released, and only the best k are sorted.
+//
+// For a Kast kernel a row of candidates is ordered by pair orientation
+// and shape (core.Prepared.Shape) and cut into one chunk per worker, each
+// one core.Kast.CompareRow call: candidates of a shape share a match
+// table, and most values of a repeated shape are an integer dot product
+// over the candidate's weights, bit-identical to an evaluation. A
+// candidate of a unique shape costs one evaluation. Metrics.SharedEvals
+// counts the derived values. PrepareTraceQuery/PrepareStoredQuery
 // let callers (the sharded fan-out in particular) embed a query exactly
 // once and share the prepared sketch, band signature, and self-similarity
 // across engines.

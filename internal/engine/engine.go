@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -297,6 +299,10 @@ func (e *Engine) indexEntry(id int, ne *entry) {
 func (e *Engine) compareRow(qe *entry, qid int, cands []sketch.Candidate, against []*entry) []float64 {
 	e.met.KernelEvals.Add(int64(len(against)))
 	row := make([]float64, len(against))
+	if e.kast != nil {
+		e.met.SharedEvals.Add(int64(e.kastRow(qe.prep, qid, cands, against, row)))
+		return row
+	}
 	kernel.ParallelFor(len(against), e.workers, func(i int) {
 		if cands[i].ID < qid {
 			row[i] = e.compare(against[i], qe)
@@ -305,6 +311,53 @@ func (e *Engine) compareRow(qe *entry, qid int, cands []sketch.Candidate, agains
 		}
 	})
 	return row
+}
+
+// kastRow is compareRow for a Kast kernel, which shares work between
+// candidates of one shape (core.Kast.CompareRow). The candidates are
+// ordered by orientation, then shape, and the order is cut into at most
+// one contiguous chunk per worker, each one CompareRow call; values go
+// back to row by candidate index. It returns how many values a class dot
+// product derived.
+func (e *Engine) kastRow(q *core.Prepared, qid int, cands []sketch.Candidate, against []*entry, row []float64) int {
+	n := len(against)
+	// Sort keys: the orientation bit (candidate first sorts first), the
+	// shape, then the candidate index in the low 32 bits.
+	order := make([]uint64, n)
+	split := 0
+	for i, en := range against {
+		key := uint64(en.prep.Shape())<<32 | uint64(i)
+		if cands[i].ID < qid {
+			split++
+		} else {
+			key |= 1 << 63
+		}
+		order[i] = key
+	}
+	slices.Sort(order)
+	chunks := e.workers
+	if chunks <= 0 {
+		chunks = runtime.GOMAXPROCS(0)
+	}
+	chunks = min(chunks, n)
+	derived := make([]int, chunks)
+	kernel.ParallelFor(chunks, chunks, func(c int) {
+		lo, hi := c*n/chunks, (c+1)*n/chunks
+		views := make([]*core.Prepared, hi-lo)
+		for j, key := range order[lo:hi] {
+			views[j] = against[uint32(key)].prep
+		}
+		out := make([]float64, hi-lo)
+		derived[c] = e.kast.CompareRow(q, views, min(max(split-lo, 0), hi-lo), out)
+		for j, key := range order[lo:hi] {
+			row[uint32(key)] = out[j]
+		}
+	})
+	sum := 0
+	for _, d := range derived {
+		sum += d
+	}
+	return sum
 }
 
 // compare evaluates the kernel on two cached entries.
@@ -489,7 +542,8 @@ const exactRerank = math.MaxInt
 // Similar returns the k live entries most similar to id, by cosine-
 // normalised kernel value (so entries of very different magnitude rank
 // comparably), in decreasing order with ties by ascending id. The query
-// entry itself is excluded. It pays one kernel evaluation per live entry.
+// entry itself is excluded. It needs one kernel value per live entry,
+// which a Kast kernel shares between entries of one shape (compareRow).
 func (e *Engine) Similar(id, k int) ([]Neighbor, error) {
 	tq, err := e.PrepareStoredQuery(id)
 	if err != nil {
@@ -624,7 +678,7 @@ func (e *Engine) PrepareStoredQuery(id int) (*TraceQuery, error) {
 //
 // rerank works as in SimilarApprox: negative for the default over-fetch,
 // 0 for sketch-only scores, >= Len() for the exact answer. When sketching
-// is disabled the query always runs exact — one kernel evaluation per live
+// is disabled the query always runs exact — one kernel value per live
 // entry — whatever rerank says.
 func (e *Engine) SimilarTrace(x token.String, k, rerank int) ([]Neighbor, error) {
 	tq, err := e.PrepareTraceQuery(x)
@@ -717,11 +771,52 @@ func (e *Engine) SimilarTracePrepared(tq *TraceQuery, k, rerank int) ([]Neighbor
 		}
 		out[i] = Neighbor{ID: c.ID, Similarity: v}
 	}
-	SortNeighbors(out)
-	if k >= 0 && k < len(out) {
-		out = out[:k]
+	return topNeighbors(out, k), nil
+}
+
+// topNeighbors returns the first k of out in SortNeighbors order, all of
+// them for k < 0. For 0 <= k < len(out) it keeps the best k seen so far in
+// a heap with the worst of them at the root, and sorts only those. It
+// reorders out.
+func topNeighbors(out []Neighbor, k int) []Neighbor {
+	if k < 0 || k >= len(out) {
+		SortNeighbors(out)
+		return out
 	}
-	return out, nil
+	top := out[:k]
+	if k == 0 {
+		return top
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(top, i)
+	}
+	for _, nb := range out[k:] {
+		if before(nb, top[0]) {
+			top[0] = nb
+			siftDown(top, 0)
+		}
+	}
+	SortNeighbors(top)
+	return top
+}
+
+// siftDown restores the heap order below h[i]: no entry comes after its
+// parent in SortNeighbors order, so the root is the last of the heap.
+func siftDown(h []Neighbor, i int) {
+	for {
+		last := i
+		if l := 2*i + 1; l < len(h) && before(h[last], h[l]) {
+			last = l
+		}
+		if r := 2*i + 2; r < len(h) && before(h[last], h[r]) {
+			last = r
+		}
+		if last == i {
+			return
+		}
+		h[i], h[last] = h[last], h[i]
+		i = last
+	}
 }
 
 // neighbors converts sketch candidates (already sorted by the index) into
@@ -739,12 +834,15 @@ func neighbors(cands []sketch.Candidate) []Neighbor {
 // guarantee of internal/shard depends on applying this exact ordering to
 // merged per-shard results; there must be one definition of it.
 func SortNeighbors(out []Neighbor) {
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Similarity != out[b].Similarity {
-			return out[a].Similarity > out[b].Similarity
-		}
-		return out[a].ID < out[b].ID
-	})
+	sort.SliceStable(out, func(a, b int) bool { return before(out[a], out[b]) })
+}
+
+// before is the SortNeighbors order: a comes before b.
+func before(a, b Neighbor) bool {
+	if a.Similarity != b.Similarity {
+		return a.Similarity > b.Similarity
+	}
+	return a.ID < b.ID
 }
 
 // InternerSize returns the number of distinct literals in the shared Kast

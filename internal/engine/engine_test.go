@@ -266,3 +266,33 @@ func randWeighted(r *xrand.Rand, n int) token.String {
 	}
 	return s
 }
+
+// topNeighbors selects with a heap, but must return exactly the first k
+// of SortNeighbors' order, ties on similarity included.
+func TestTopNeighborsMatchesSort(t *testing.T) {
+	r := xrand.New(5)
+	for trial := 0; trial < 200; trial++ {
+		n := r.IntRange(0, 40)
+		list := make([]Neighbor, n)
+		for i, id := range r.Perm(3 * n)[:n] {
+			list[i] = Neighbor{ID: id, Similarity: float64(r.Intn(5)) / 4}
+		}
+		want := append([]Neighbor(nil), list...)
+		SortNeighbors(want)
+		for _, k := range []int{-1, 0, 1, n - 1, n, n + 1} {
+			got := topNeighbors(append([]Neighbor(nil), list...), k)
+			w := want
+			if k >= 0 && k < n {
+				w = want[:k]
+			}
+			if len(got) != len(w) {
+				t.Fatalf("trial %d, k=%d: %d neighbours, want %d", trial, k, len(got), len(w))
+			}
+			for i := range w {
+				if got[i] != w[i] {
+					t.Fatalf("trial %d, k=%d: position %d is %+v, want %+v", trial, k, i, got[i], w[i])
+				}
+			}
+		}
+	}
+}

@@ -17,6 +17,11 @@ type Metrics struct {
 	// and rerank spends. Incremented at aggregate points (per row or
 	// batch), never inside the parallel hot loop.
 	KernelEvals *obs.Counter
+	// SharedEvals counts the kernel values among KernelEvals that a Kast
+	// row derived by a class dot product instead of an evaluation (see
+	// core.Kast.CompareRow); its ratio to KernelEvals is the share of the
+	// traffic whose candidates repeat a shape. Incremented once per row.
+	SharedEvals *obs.Counter
 	// Reranked counts shortlist candidates reranked after an approximate
 	// search; Reranked over the sketch index's Searches is the mean
 	// shortlist the exact kernel actually pays for.
@@ -33,6 +38,7 @@ func NewMetrics(reg *obs.Registry, labels obs.Labels) Metrics {
 		Adds:        reg.Counter("iok_engine_adds_total", "Corpus insertions accepted.", labels),
 		Removes:     reg.Counter("iok_engine_removes_total", "Corpus removals accepted.", labels),
 		KernelEvals: reg.Counter("iok_engine_kernel_evals_total", "Kernel evaluations performed.", labels),
+		SharedEvals: reg.Counter("iok_engine_kernel_shared_evals_total", "Kernel values derived by a Kast class dot product instead of an evaluation.", labels),
 		Reranked:    reg.Counter("iok_engine_reranked_total", "Shortlist candidates exactly reranked.", labels),
 		Index:       sketch.NewIndexMetrics(reg, labels),
 	}

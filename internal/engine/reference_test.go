@@ -8,9 +8,12 @@ import (
 	"testing"
 
 	"iokast/internal/core"
+	"iokast/internal/iogen"
 	"iokast/internal/kernel"
 	"iokast/internal/linalg"
+	"iokast/internal/obs"
 	"iokast/internal/token"
+	"iokast/internal/xrand"
 )
 
 // bruteSimilar is the reference answer for the by-id query of ids[qi]:
@@ -175,4 +178,33 @@ func TestRestoreV3Snapshot(t *testing.T) {
 		assertSameNeighbors(t, fmt.Sprintf("Similar(%d)", id), want, got)
 	}
 	assertByIDMatchesBrute(t, "v3 restore", r)
+}
+
+// TestByIDSharedRowsMatchBruteForce: workload traces repeat a few literal
+// sequences, so Kast rows share match tables and derive values by a class
+// dot product. By-id answers must still equal a from-scratch kernel.Gram
+// bit for bit, for one worker and for a chunking that splits runs, and the
+// shared-evaluation counter must count the derived values.
+func TestByIDSharedRowsMatchBruteForce(t *testing.T) {
+	r := xrand.New(3)
+	xs := make([]token.String, 45)
+	for i := range xs {
+		tr, err := iogen.GenerateExtended(iogen.LoadCategories[i%len(iogen.LoadCategories)], r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs[i] = core.Convert(tr, core.Options{})
+	}
+	for _, workers := range []int{1, 3} {
+		reg := obs.NewRegistry()
+		met := NewMetrics(reg, nil)
+		e := New(Options{Kernel: &core.Kast{CutWeight: 2}, Workers: workers, SketchDim: 32, SketchSeed: 3, Metrics: met})
+		if _, err := e.AddBatch(xs); err != nil {
+			t.Fatal(err)
+		}
+		assertByIDMatchesBrute(t, fmt.Sprintf("workers=%d", workers), e)
+		if met.SharedEvals.Value() == 0 || met.SharedEvals.Value() >= met.KernelEvals.Value() {
+			t.Fatalf("workers=%d: %d shared of %d kernel evaluations", workers, met.SharedEvals.Value(), met.KernelEvals.Value())
+		}
+	}
 }

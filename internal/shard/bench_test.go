@@ -6,6 +6,7 @@ import (
 
 	"iokast/internal/core"
 	"iokast/internal/engine"
+	"iokast/internal/iogen"
 	"iokast/internal/sketch"
 	"iokast/internal/token"
 	"iokast/internal/xrand"
@@ -189,5 +190,38 @@ func BenchmarkShardedSimilarExact(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkShardedSimilarExactWorkload answers exact top-5 by-id queries
+// for ids 0–255 over 512 iogen.LoadCategories traces on 4 shards: the
+// GET /similar?id= request of perfbench's sharded-mixed workload. Those
+// traces repeat a dozen literal sequences, so Kast rows share match tables
+// and derive most values by a class dot product; the random strings of
+// BenchmarkShardedSimilarExact repeat none.
+func BenchmarkShardedSimilarExactWorkload(b *testing.B) {
+	const n, queries = 512, 256
+	r := xrand.New(1)
+	xs := make([]token.String, n)
+	for i := range xs {
+		tr, err := iogen.GenerateExtended(iogen.LoadCategories[i%len(iogen.LoadCategories)], r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		xs[i] = core.Convert(tr, core.Options{})
+	}
+	sh, err := New(Options{Shards: 4, Engine: benchANNEngineOptions()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sh.AddBatch(xs); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sh.Similar(i%queries, 5); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
