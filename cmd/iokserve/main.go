@@ -220,9 +220,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "iokserve: open %s: %v\n", *dataDir, err)
 				os.Exit(1)
 			}
-			if n := sh.Repaired(); n > 0 {
-				log.Printf("iokserve: recovery reconciled a torn batch (%d slots plugged)", n)
-			}
 			log.Printf("iokserve: recovered %d traces across %d shards from %s", sh.Len(), sh.Shards(), *dataDir)
 			checkpoint = sh.Close
 		} else {

@@ -12,9 +12,13 @@
 // the normaliser of every cosine score. Adding a trace therefore costs
 // one kernel evaluation whatever the corpus size; AddBatch builds a whole
 // batch in one bounded parallel fan-out and commits it with one log
-// record. No pairwise value is stored: queries compute the kernel against
-// their candidates on demand, and Gram, NormalizedGram and GramAt
-// evaluate the matrix on demand over the cached views.
+// record. Add, AddBatch and Insert share that one commit path: Insert
+// takes caller-assigned increasing ids (a shard engine stores corpus-wide
+// ids), and the ids it skips are empty slots, like removed ones. Ids stop
+// below matrixio.MaxSlots, the most slots a snapshot block holds: an
+// insert past it is refused with ErrIDSpaceFull. No pairwise value is stored: queries compute the kernel against their
+// candidates on demand, and Gram, NormalizedGram and GramAt evaluate the
+// matrix on demand over the cached views.
 //
 // Results are identical to a from-scratch kernel.Gram over the same
 // strings: both paths evaluate the same kernel on the same

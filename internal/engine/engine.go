@@ -11,6 +11,7 @@ import (
 	"iokast/internal/core"
 	"iokast/internal/kernel"
 	"iokast/internal/linalg"
+	"iokast/internal/matrixio"
 	"iokast/internal/sketch"
 	"iokast/internal/token"
 )
@@ -24,9 +25,9 @@ type Options struct {
 	// query reranks, on-demand Gram matrices); <= 0 means GOMAXPROCS.
 	Workers int
 	// Log, when non-nil, receives every accepted mutation (Add, AddBatch,
-	// Remove) before it is applied, under the engine's write lock, so the
-	// log order matches the id order. internal/store implements it as a
-	// write-ahead log. See SetLog for attaching a log after recovery.
+	// Insert, Remove) before it is applied, under the engine's write lock,
+	// so the log order matches the id order. internal/store implements it
+	// as a write-ahead log. See SetLog for attaching a log after recovery.
 	Log Log
 	// SketchDim is the width of the sketch vectors maintained alongside the
 	// corpus for approximate similarity (SimilarApprox, SimilarTrace):
@@ -60,10 +61,10 @@ type Options struct {
 // failure through Err — so a log error means "persistence degraded", not
 // "data rejected".
 type Log interface {
-	// LogAdd records the insertion of x as id.
-	LogAdd(id int, x token.String) error
-	// LogAddBatch records the insertion of xs as ids firstID..firstID+len-1.
-	LogAddBatch(firstID int, xs []token.String) error
+	// LogInsert records the insertion of xs[i] as ids[i]. The ids increase
+	// strictly and need not be consecutive: every insert path (Add,
+	// AddBatch, Insert) logs through it, with the ids it commits.
+	LogInsert(ids []int, xs []token.String) error
 	// LogRemove records the tombstoning of id.
 	LogRemove(id int) error
 }
@@ -81,7 +82,7 @@ type Engine struct {
 	interner *core.Interner
 	workers  int
 
-	entries []*entry // index = id; nil after Remove
+	entries []*entry // index = id; nil after Remove and for ids Insert skipped
 	active  int
 	seq     uint64 // accepted mutations (adds + removes), the WAL sequence
 	log     Log    // mutation log, nil for a purely in-memory engine
@@ -145,81 +146,117 @@ func (e *Engine) Len() int {
 	return e.active
 }
 
+// ErrIDSpaceFull refuses an insert that would take an id at or above
+// matrixio.MaxSlots. A snapshot block holds at most that many id slots, so
+// an engine holding such an id could no longer be snapshotted, nor
+// recovered; the refusal comes before anything is logged or applied.
+var ErrIDSpaceFull = fmt.Errorf("engine: id space full (ids stop below %d)", matrixio.MaxSlots)
+
 // Add inserts a weighted string into the corpus and returns its id. Ids are
 // assigned sequentially and never reused. The insert pays one kernel
 // evaluation, the self-similarity; pairwise values are computed at query
-// time.
+// time. Add is AddBatch of one string; a log failure is reported by Err.
+// Once the id space is full (ErrIDSpaceFull), Add inserts nothing and
+// returns -1.
 func (e *Engine) Add(x token.String) int {
-	// Per-string representations are built outside the write lock; the
-	// interner is internally synchronised.
-	ne := e.ingestEntry(x)
-	e.met.KernelEvals.Inc()
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	id := len(e.entries)
-	if e.log != nil {
-		//iokvet:allow lockscope(WAL append under e.mu is the documented durability point: the entry must be logged before any reader can observe it)
-		if err := e.log.LogAdd(id, ne.x); err != nil && e.logErr == nil {
-			e.logErr = fmt.Errorf("engine: log add %d: %w", id, err)
-		}
+	ids, _ := e.AddBatch([]token.String{x})
+	if ids == nil {
+		return -1
 	}
-	e.appendLocked(ne)
-	return id
+	return ids[0]
 }
 
-// AddBatch inserts m strings in one step and returns their ids, which are
-// consecutive. The representations, sketches and self-similarities of the
+// AddBatch inserts m strings in one step and returns their ids, the next m
+// ids in order. The representations, sketches and self-similarities of the
 // whole batch are built in one kernel.ParallelFor, and the batch commits
 // with a single log record — on a durable engine, one fsync per batch
 // rather than per trace.
 //
-// The returned error is a persistence error from the attached Log; the
+// The returned error is either ErrIDSpaceFull, with nothing inserted and
+// nil ids, or a persistence error from the attached Log, after which the
 // in-memory insertion has still happened (see Log).
 func (e *Engine) AddBatch(xs []token.String) ([]int, error) {
+	return e.insert(nil, xs)
+}
+
+// Insert adds xs[i] under the caller-assigned id ids[i], through the same
+// commit as AddBatch. The ids must increase strictly, the first must be at
+// or above NextID() and the last below matrixio.MaxSlots (ErrIDSpaceFull);
+// anything else is refused before it is logged or applied. An id the
+// insert skips stays an empty slot, exactly like a removed one, so NextID
+// afterwards is the last id plus one.
+// internal/shard inserts corpus-wide ids this way, and WAL replay re-inserts
+// logged ones.
+//
+// Apart from a refusal, the returned error is a persistence error from the
+// attached Log, after which the insertion has still happened (see Log).
+func (e *Engine) Insert(ids []int, xs []token.String) error {
+	if len(ids) != len(xs) {
+		return fmt.Errorf("engine: insert of %d strings under %d ids", len(xs), len(ids))
+	}
+	for t := 1; t < len(ids); t++ {
+		if ids[t] <= ids[t-1] {
+			return fmt.Errorf("engine: insert ids not increasing: %d after %d", ids[t], ids[t-1])
+		}
+	}
+	_, err := e.insert(ids, xs)
+	return err
+}
+
+// insert is the one commit path of Add, AddBatch and Insert. A nil ids
+// assigns the next len(xs) ids under the write lock; otherwise ids are
+// increasing and checked against NextID there. Either way the last id is
+// checked against the id space.
+func (e *Engine) insert(ids []int, xs []token.String) ([]int, error) {
 	m := len(xs)
 	if m == 0 {
 		return nil, nil
 	}
+	// Per-string representations are built outside the write lock; the
+	// interner is internally synchronised.
 	nes := make([]*entry, m)
 	kernel.ParallelFor(m, e.workers, func(i int) { nes[i] = e.ingestEntry(xs[i]) })
 	e.met.KernelEvals.Add(int64(m))
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	first := len(e.entries)
+	next := len(e.entries)
+	if ids == nil {
+		ids = make([]int, m)
+		for t := range ids {
+			ids[t] = next + t
+		}
+	} else if ids[0] < next {
+		return nil, fmt.Errorf("engine: insert at id %d below next id %d", ids[0], next)
+	}
+	if ids[m-1] >= matrixio.MaxSlots {
+		return nil, fmt.Errorf("%w: insert at id %d", ErrIDSpaceFull, ids[m-1])
+	}
 	var logErr error
 	if e.log != nil {
 		strs := make([]token.String, m)
 		for t, ne := range nes {
 			strs[t] = ne.x
 		}
-		//iokvet:allow lockscope(WAL batch append under e.mu is the documented durability point: ids are assigned and logged atomically with respect to readers)
-		if logErr = e.log.LogAddBatch(first, strs); logErr != nil {
-			logErr = fmt.Errorf("engine: log batch at %d: %w", first, logErr)
+		//iokvet:allow lockscope(WAL insert append under e.mu is the documented durability point: ids are checked and logged atomically with respect to readers)
+		if logErr = e.log.LogInsert(ids, strs); logErr != nil {
+			logErr = fmt.Errorf("engine: log insert at %d: %w", ids[0], logErr)
 			if e.logErr == nil {
 				e.logErr = logErr
 			}
 		}
 	}
-	e.appendLocked(nes...)
-	ids := make([]int, m)
-	for t := range ids {
-		ids[t] = first + t
-	}
-	return ids, logErr
-}
-
-// appendLocked commits new entries under the next ids. Caller holds e.mu
-// for writing.
-func (e *Engine) appendLocked(nes ...*entry) {
-	for _, ne := range nes {
-		e.indexEntry(len(e.entries), ne)
+	for t, ne := range nes {
+		for len(e.entries) < ids[t] {
+			e.entries = append(e.entries, nil)
+		}
+		e.indexEntry(ids[t], ne)
 		e.entries = append(e.entries, ne)
 	}
-	e.active += len(nes)
-	e.seq += uint64(len(nes))
-	e.met.Adds.Add(int64(len(nes)))
+	e.active += m
+	e.seq += uint64(m)
+	e.met.Adds.Add(int64(m))
+	return ids, logErr
 }
 
 // ingestEntry builds everything a new corpus entry caches: its kernel
@@ -285,7 +322,7 @@ func (e *Engine) indexEntry(id int, ne *entry) {
 	if e.ix == nil {
 		return
 	}
-	// Ids are assigned sequentially and never reused, so Add cannot fail.
+	// Ids only increase and are never reused, so Add cannot fail.
 	_ = e.ix.Add(id, ne.vec)
 }
 
@@ -375,8 +412,8 @@ func (e *Engine) compare(a, b *entry) float64 {
 // Remove deletes the entry with the given id in O(1): the slot is cleared
 // and the id dropped from the sketch index.
 //
-// Tombstoned slots are not reclaimed: internal storage grows with the total
-// number of ids ever assigned, not the live corpus size. That is the right
+// Tombstoned slots are not reclaimed: internal storage grows with the
+// highest id ever inserted, not the live corpus size. That is the right
 // trade for the intended workload (corpora that mostly grow, occasional
 // deletions); a sliding-window deployment with unbounded churn should
 // periodically rebuild via New + re-Add, which re-densifies ids.
@@ -420,7 +457,8 @@ func (e *Engine) Seq() uint64 {
 	return e.seq
 }
 
-// NextID returns the id the next Add would assign.
+// NextID returns the id the next Add would assign: one past the highest id
+// ever inserted, removed ids included. Insert accepts ids from here on.
 func (e *Engine) NextID() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -25,9 +25,9 @@ import (
 //	version  byte (= 4; version-3 snapshots are still restored, see selfs)
 //	kernel   uvarint length + kernel.Name() bytes (checked on restore)
 //	seq      uint64 little-endian, mutations applied at capture
-//	numIDs   uvarint, total ids ever assigned (slot count)
+//	numIDs   uvarint, slot count: one past the highest id ever inserted
 //	active   uvarint, live (non-tombstoned) ids
-//	entries  per id: flag byte 0 (tombstone) or 1 (live);
+//	entries  per id: flag byte 0 (removed or never inserted) or 1 (live);
 //	         if live: uvarint length + canonical token text (token.Parse)
 //	sketch   flag byte 0 (disabled) or 1 (enabled); if enabled: uvarint
 //	         dim + uint64 little-endian seed
@@ -67,7 +67,6 @@ func (e *Engine) Snapshot(w io.Writer) (uint64, error) {
 }
 
 func (e *Engine) snapshotLocked(w io.Writer) error {
-
 	crc := crc32.New(snapCRCTable)
 	bw := bufio.NewWriter(w)
 	cw := io.MultiWriter(bw, crc)
@@ -156,9 +155,9 @@ func (e *Engine) snapshotLocked(w io.Writer) error {
 	if _, err := bw.Write(scratch[:4]); err != nil {
 		return fmt.Errorf("engine: snapshot: %w", err)
 	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("engine: snapshot: %w", err)
-	}
+	// The binary blocks write one row per id slot, absent slots included,
+	// so they go through bw as well: one flush at the end, not a syscall
+	// per row.
 	if e.sk != nil {
 		// The index shares vector storage with the entries, so the slot
 		// layout is exactly the entry slice: live ids present, tombstones
@@ -169,7 +168,7 @@ func (e *Engine) snapshotLocked(w io.Writer) error {
 				vecs[id] = en.vec
 			}
 		}
-		if err := matrixio.WriteVectors(w, e.sk.Dim(), vecs); err != nil {
+		if err := matrixio.WriteVectors(bw, e.sk.Dim(), vecs); err != nil {
 			return fmt.Errorf("engine: snapshot sketches: %w", err)
 		}
 		if annEnabled {
@@ -183,7 +182,7 @@ func (e *Engine) snapshotLocked(w io.Writer) error {
 					sigs[id] = e.ix.Sig(id)
 				}
 			}
-			if err := matrixio.WriteWordVectors(w, annBands, sigs); err != nil {
+			if err := matrixio.WriteWordVectors(bw, annBands, sigs); err != nil {
 				return fmt.Errorf("engine: snapshot signatures: %w", err)
 			}
 		}
@@ -194,8 +193,11 @@ func (e *Engine) snapshotLocked(w io.Writer) error {
 			selfs[id] = []float64{en.self}
 		}
 	}
-	if err := matrixio.WriteVectors(w, 1, selfs); err != nil {
+	if err := matrixio.WriteVectors(bw, 1, selfs); err != nil {
 		return fmt.Errorf("engine: snapshot self-similarities: %w", err)
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("engine: snapshot: %w", err)
 	}
 	return nil
 }
@@ -274,9 +276,9 @@ func (e *Engine) Restore(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("engine: restore active count: %w", err)
 	}
-	// 1<<20 matches matrixio's slot limit, so a corrupted count is
-	// rejected here before the entry slice is allocated.
-	if active > numIDs || numIDs > 1<<20 {
+	// Bounded by matrixio's slot limit, as Insert bounds the ids, so a
+	// corrupted count is rejected here before the entry slice is allocated.
+	if active > numIDs || numIDs > matrixio.MaxSlots {
 		return fmt.Errorf("engine: implausible snapshot counts: %d active of %d ids", active, numIDs)
 	}
 

@@ -2,10 +2,13 @@ package engine
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"testing"
 
 	"iokast/internal/core"
 	"iokast/internal/kernel"
+	"iokast/internal/matrixio"
 	"iokast/internal/token"
 )
 
@@ -192,21 +195,49 @@ func TestRestoreRejects(t *testing.T) {
 	}
 }
 
+// countingWriter counts the Write calls and bytes that reach it.
+type countingWriter struct{ writes, bytes int }
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	c.bytes += len(p)
+	return len(p), nil
+}
+
+// TestSnapshotBuffersWrites: a snapshot reaches its writer in buffer-sized
+// chunks, not one Write per id slot of every binary block (sketch vectors,
+// band signatures, self-similarities), absent slots included.
+func TestSnapshotBuffersWrites(t *testing.T) {
+	xs := corpus(t, 48, 5)
+	e := New(Options{Kernel: &core.Kast{CutWeight: 2}, ANNBands: 8})
+	if _, err := e.AddBatch(xs); err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < len(xs); id += 3 {
+		if err := e.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var c countingWriter
+	if _, err := e.Snapshot(&c); err != nil {
+		t.Fatal(err)
+	}
+	// A bufio.Writer passes on full 4096-byte buffers (or larger single
+	// writes), so only the final flush may be shorter.
+	if limit := c.bytes/4096 + 1; c.writes > limit {
+		t.Fatalf("snapshot of %d bytes took %d writes, want at most %d", c.bytes, c.writes, limit)
+	}
+}
+
 // recordingLog captures Log calls for inspection and optionally fails.
 type recordingLog struct {
-	adds    []int
-	batches []int
+	inserts [][]int
 	removes []int
 	fail    error
 }
 
-func (l *recordingLog) LogAdd(id int, x token.String) error {
-	l.adds = append(l.adds, id)
-	return l.fail
-}
-
-func (l *recordingLog) LogAddBatch(firstID int, xs []token.String) error {
-	l.batches = append(l.batches, firstID, len(xs))
+func (l *recordingLog) LogInsert(ids []int, xs []token.String) error {
+	l.inserts = append(l.inserts, append([]int(nil), ids...))
 	return l.fail
 }
 
@@ -231,11 +262,8 @@ func TestLogHook(t *testing.T) {
 	if err := e.Remove(99); err == nil {
 		t.Fatal("Remove of unknown id did not fail")
 	}
-	if len(log.adds) != 1 || log.adds[0] != 0 {
-		t.Errorf("logged adds %v", log.adds)
-	}
-	if len(log.batches) != 2 || log.batches[0] != 1 || log.batches[1] != 3 {
-		t.Errorf("logged batches %v", log.batches)
+	if len(log.inserts) != 2 || !slices.Equal(log.inserts[0], []int{0}) || !slices.Equal(log.inserts[1], []int{1, 2, 3}) {
+		t.Errorf("logged inserts %v, want [[0] [1 2 3]]", log.inserts)
 	}
 	if len(log.removes) != 1 || log.removes[0] != 2 {
 		t.Errorf("logged removes %v (the failed Remove must not be logged)", log.removes)
@@ -256,5 +284,122 @@ func TestLogHook(t *testing.T) {
 	}
 	if e.Len() != 4 {
 		t.Fatalf("Len = %d after degraded Add", e.Len())
+	}
+}
+
+// TestInsertCallerIDs: Insert stores caller-assigned ids and leaves the ids
+// it skips as empty slots, which read like removed ones, survive a
+// snapshot, and are never reused. Ids that do not increase, or that start
+// below NextID, are refused with nothing logged or applied.
+func TestInsertCallerIDs(t *testing.T) {
+	xs := corpus(t, 6, 4)
+	log := &recordingLog{}
+	e := New(Options{Kernel: &core.Kast{CutWeight: 2}, Log: log})
+	if err := e.Insert([]int{2, 5}, xs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if e.NextID() != 6 || e.Len() != 2 || e.Seq() != 2 {
+		t.Fatalf("NextID=%d Len=%d Seq=%d, want 6/2/2", e.NextID(), e.Len(), e.Seq())
+	}
+	for id, want := range map[int]bool{0: false, 2: true, 3: false, 5: true} {
+		if e.Has(id) != want || (e.SketchVec(id) != nil) != want {
+			t.Errorf("id %d: Has=%v, sketched=%v, want %v", id, e.Has(id), e.SketchVec(id) != nil, want)
+		}
+	}
+	if err := e.Remove(3); err == nil {
+		t.Fatal("Remove of a skipped id succeeded")
+	}
+	if ids, err := e.AddBatch(xs[2:3]); err != nil || ids[0] != 6 {
+		t.Fatalf("AddBatch after Insert assigned %v (%v), want [6]", ids, err)
+	}
+
+	logged := len(log.inserts)
+	for _, c := range []struct {
+		name string
+		ids  []int
+		xs   []token.String
+		full bool // refused with ErrIDSpaceFull
+	}{
+		{"taken id", []int{6}, xs[3:4], false},
+		{"skipped id below NextID", []int{4}, xs[3:4], false},
+		{"repeated id", []int{8, 8}, xs[3:5], false},
+		{"decreasing ids", []int{9, 8}, xs[3:5], false},
+		{"count mismatch", []int{9}, xs[3:5], false},
+		{"id at the id-space limit", []int{9, matrixio.MaxSlots}, xs[3:5], true},
+		{"huge id", []int{1 << 40}, xs[3:4], true},
+	} {
+		err := e.Insert(c.ids, c.xs)
+		if err == nil {
+			t.Errorf("%s: Insert(%v) accepted", c.name, c.ids)
+		} else if errors.Is(err, ErrIDSpaceFull) != c.full {
+			t.Errorf("%s: Insert(%v) error %v, ErrIDSpaceFull=%v", c.name, c.ids, err, c.full)
+		}
+	}
+	if len(log.inserts) != logged || e.NextID() != 7 || e.Len() != 3 || e.Seq() != 3 {
+		t.Fatalf("refused inserts changed state: logged %d→%d, NextID=%d Len=%d Seq=%d",
+			logged, len(log.inserts), e.NextID(), e.Len(), e.Seq())
+	}
+
+	ns, err := e.Similar(2, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ns) != 2 || ns[0].ID == ns[1].ID || (ns[0].ID != 5 && ns[0].ID != 6) || (ns[1].ID != 5 && ns[1].ID != 6) {
+		t.Fatalf("Similar(2) = %+v, want ids 5 and 6", ns)
+	}
+
+	var buf bytes.Buffer
+	if _, err := e.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r := New(Options{Kernel: &core.Kast{CutWeight: 2}})
+	if err := r.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if r.NextID() != 7 || r.Has(3) || !r.Has(5) {
+		t.Fatalf("restored NextID=%d Has(3)=%v Has(5)=%v", r.NextID(), r.Has(3), r.Has(5))
+	}
+	got, err := r.Similar(2, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, ns) {
+		t.Fatalf("restored Similar(2) = %+v, want %+v", got, ns)
+	}
+}
+
+// TestIDSpaceLimit: the id space ends where a snapshot block's slots do.
+// An engine holding the last id still snapshots and restores; every insert
+// past it is refused with ErrIDSpaceFull before it is logged, and Add
+// reports the refusal as id -1.
+func TestIDSpaceLimit(t *testing.T) {
+	xs := corpus(t, 2, 5)
+	log := &recordingLog{}
+	e := New(Options{Kernel: &core.Kast{CutWeight: 2}, SketchDim: -1, Log: log})
+	last := matrixio.MaxSlots - 1
+	if err := e.Insert([]int{last}, xs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if ids, err := e.AddBatch(xs); ids != nil || !errors.Is(err, ErrIDSpaceFull) {
+		t.Fatalf("AddBatch past the limit = %v, %v; want nil, ErrIDSpaceFull", ids, err)
+	}
+	if id := e.Add(xs[1]); id != -1 {
+		t.Fatalf("Add past the limit = %d, want -1", id)
+	}
+	if len(log.inserts) != 1 || e.Len() != 1 || e.NextID() != matrixio.MaxSlots || e.Err() != nil {
+		t.Fatalf("refusals changed state: %d inserts logged, Len=%d NextID=%d Err=%v",
+			len(log.inserts), e.Len(), e.NextID(), e.Err())
+	}
+
+	var buf bytes.Buffer
+	if _, err := e.Snapshot(&buf); err != nil {
+		t.Fatalf("snapshot at the limit: %v", err)
+	}
+	r := New(Options{Kernel: &core.Kast{CutWeight: 2}, SketchDim: -1})
+	if err := r.Restore(&buf); err != nil {
+		t.Fatalf("restore at the limit: %v", err)
+	}
+	if r.NextID() != matrixio.MaxSlots || !r.Has(last) || r.Len() != 1 {
+		t.Fatalf("restored NextID=%d Has(last)=%v Len=%d", r.NextID(), r.Has(last), r.Len())
 	}
 }

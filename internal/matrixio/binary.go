@@ -27,14 +27,17 @@ import (
 //	crc     uint32 little-endian, CRC-32 (Castagnoli) over magic|n|data
 const triangleMagic = "IOKTRI1\n"
 
-// maxTriangleDim is the absolute dimension ceiling for the format (writer
-// and reader); defaultReadDim is the reader's default trust bound for the
-// untrusted header — the n*n allocation happens before the trailing CRC
-// can vouch for n, and 1<<14 caps it at 2 GiB. Callers that know the true
-// dimension from an already-validated outer header (the engine snapshot
-// does) pass it to ReadSymmetricTriangleMax to read bigger matrices.
+// MaxSlots is the absolute row ceiling of every block format in this
+// package (writer and reader): a triangle's dimension, a vector or
+// word-vector block's slot count. The engine bounds its id space by it, so
+// that every snapshot it takes stays writable. defaultReadDim is the
+// reader's default trust bound for the untrusted header — the n*n
+// allocation happens before the trailing CRC can vouch for n, and 1<<14
+// caps it at 2 GiB. Callers that know the true dimension from an
+// already-validated outer header (the engine snapshot does) pass it to
+// ReadSymmetricTriangleMax to read bigger matrices.
 const (
-	maxTriangleDim = 1 << 20
+	MaxSlots       = 1 << 20
 	defaultReadDim = 1 << 14
 )
 
@@ -51,8 +54,8 @@ func WriteSymmetricTriangle(w io.Writer, m *linalg.Matrix) error {
 	if m.Rows != m.Cols {
 		return fmt.Errorf("matrixio: triangle of non-square %dx%d matrix", m.Rows, m.Cols)
 	}
-	if m.Rows > maxTriangleDim {
-		return fmt.Errorf("matrixio: dimension %d exceeds limit %d", m.Rows, maxTriangleDim)
+	if m.Rows > MaxSlots {
+		return fmt.Errorf("matrixio: dimension %d exceeds limit %d", m.Rows, MaxSlots)
 	}
 	crc := crc32.New(crcTable)
 	bw := bufio.NewWriter(io.MultiWriter(w, crc))
@@ -102,8 +105,8 @@ func ReadSymmetricTriangleMax(r io.Reader, maxDim int) (*linalg.Matrix, error) {
 	if maxDim <= 0 {
 		maxDim = defaultReadDim
 	}
-	if maxDim > maxTriangleDim {
-		maxDim = maxTriangleDim
+	if maxDim > MaxSlots {
+		maxDim = MaxSlots
 	}
 	// The CRC is fed only the bytes actually consumed as payload; reading
 	// through a TeeReader would also checksum whatever the buffered reader

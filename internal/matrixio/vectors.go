@@ -39,8 +39,8 @@ func WriteVectors(w io.Writer, dim int, vecs [][]float64) error {
 	if dim <= 0 || dim > maxVectorDim {
 		return fmt.Errorf("matrixio: vector width %d outside (0, %d]", dim, maxVectorDim)
 	}
-	if len(vecs) > maxTriangleDim {
-		return fmt.Errorf("matrixio: %d vector slots exceed limit %d", len(vecs), maxTriangleDim)
+	if len(vecs) > MaxSlots {
+		return fmt.Errorf("matrixio: %d vector slots exceed limit %d", len(vecs), MaxSlots)
 	}
 	crc := crc32.New(crcTable)
 	cw := io.MultiWriter(w, crc)

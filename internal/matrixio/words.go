@@ -36,8 +36,8 @@ func WriteWordVectors(w io.Writer, width int, rows [][]uint64) error {
 	if width <= 0 || width > maxWordWidth {
 		return fmt.Errorf("matrixio: word-vector width %d outside (0, %d]", width, maxWordWidth)
 	}
-	if len(rows) > maxTriangleDim {
-		return fmt.Errorf("matrixio: %d word-vector slots exceed limit %d", len(rows), maxTriangleDim)
+	if len(rows) > MaxSlots {
+		return fmt.Errorf("matrixio: %d word-vector slots exceed limit %d", len(rows), MaxSlots)
 	}
 	crc := crc32.New(crcTable)
 	cw := io.MultiWriter(w, crc)

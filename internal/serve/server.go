@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -153,6 +154,10 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := s.c.Add(x)
+	if id < 0 {
+		httpError(w, r, http.StatusInsufficientStorage, "%v", engine.ErrIDSpaceFull)
+		return
+	}
 	if err := s.c.Err(); err != nil {
 		// Ingested in memory but not persisted: tell the client instead of
 		// silently serving state a restart would lose.
@@ -220,6 +225,10 @@ func (s *Server) handleTracesBatch(w http.ResponseWriter, r *http.Request) {
 		metas[i] = meta{Name: tr.Name, Tokens: len(xs[i]), Weight: xs[i].Weight()}
 	}
 	ids, err := s.c.AddBatch(xs)
+	if errors.Is(err, engine.ErrIDSpaceFull) {
+		httpError(w, r, http.StatusInsufficientStorage, "%v", err)
+		return
+	}
 	if err == nil {
 		// Also honour the sticky error: after any earlier WAL failure the
 		// log has a gap, so even a batch whose own append succeeded is not

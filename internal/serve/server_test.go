@@ -10,6 +10,9 @@ import (
 
 	"iokast/internal/core"
 	"iokast/internal/engine"
+	"iokast/internal/matrixio"
+	"iokast/internal/token"
+	"iokast/internal/trace"
 )
 
 const traceA = `% name=writerA label=A
@@ -253,5 +256,33 @@ func TestServeConcurrentClients(t *testing.T) {
 	resp := doJSON(t, s, http.MethodGet, "/healthz", "", http.StatusOK)
 	if n := resp["traces"].(float64); n != clients*5 {
 		t.Fatalf("traces = %v, want %d", n, clients*5)
+	}
+}
+
+// TestServeIDSpaceFull: once the corpus has taken the last id a snapshot
+// can hold, ingest is refused with 507 instead of being accepted into a
+// corpus that could no longer be persisted.
+func TestServeIDSpaceFull(t *testing.T) {
+	eng := engine.New(engine.Options{Kernel: &core.Kast{CutWeight: 2}, Workers: 2, SketchDim: -1})
+	tr, err := trace.ParseString(traceA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := core.Convert(tr, core.Options{})
+	if err := eng.Insert([]int{matrixio.MaxSlots - 1}, []token.String{x}); err != nil {
+		t.Fatal(err)
+	}
+	s := New(eng, nil, nil, core.Options{})
+	resp := doJSON(t, s, http.MethodPost, "/traces", traceB, http.StatusInsufficientStorage)
+	if msg := resp["error"].(string); !strings.Contains(msg, "id space full") {
+		t.Fatalf("unhelpful id-space error: %q", msg)
+	}
+	body, err := json.Marshal(map[string][]string{"traces": {traceA, traceB}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doJSON(t, s, http.MethodPost, "/traces/batch", string(body), http.StatusInsufficientStorage)
+	if eng.Len() != 1 {
+		t.Fatalf("refused ingest changed the corpus: %d traces", eng.Len())
 	}
 }

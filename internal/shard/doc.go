@@ -9,9 +9,13 @@
 // seeded hash (the SplitMix64 finalizer) of the id, mod the shard count.
 // The mapping depends only on (id, seed, shards), so an id can never move
 // between shards; the MANIFEST of a durable directory pins seed and count
-// so every reopen routes identically. Batch ingest is split into
-// per-shard sub-batches applied in parallel — one WAL record and one
-// fsync per shard.
+// so every reopen routes identically. There is one id space: each shard
+// engine stores its traces under their corpus-wide ids
+// (engine.Engine.Insert), and the ids routed elsewhere are empty slots in
+// it. So the snapshot slot limit, matrixio.MaxSlots, bounds the corpus as a
+// whole, not each shard: a batch that would cross it is refused before any
+// shard inserts a part of it. Batch ingest is split into per-shard sub-batches inserted in
+// parallel — one WAL record and one fsync per shard.
 //
 // # Fan-out queries
 //
@@ -28,13 +32,13 @@
 //
 // # Recovery
 //
-// Shards recover concurrently; the global id mapping is then re-derived
-// by walking ids upward and dealing each to the next local slot of its
-// owner shard. A kill -9 can tear at most the one in-flight batch across
-// shard WALs; recovery rolls committed sub-batches forward and plugs
-// durable tombstones for globals whose shard lost its part, so
-// acknowledged mutations are never lost and every reopen derives the
-// identical mapping.
+// Shards recover concurrently, and the recovered corpus is their union;
+// the next id follows the highest id any shard holds. A kill -9 can tear
+// at most the one in-flight batch across shard WALs. The sub-batches that
+// committed roll forward. The ids of a lost sub-batch never existed: they
+// read as absent, like removed ids, and ids past the highest committed one
+// are assigned again. Acknowledged mutations are never lost, and every
+// reopen recovers the identical corpus.
 //
 // See docs/ARCHITECTURE.md for the locking model and the MANIFEST wire
 // format.

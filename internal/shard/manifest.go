@@ -22,17 +22,23 @@ import (
 // Layout (all integers little-endian, lengths uvarint):
 //
 //	magic    "IOKSHRD1" (8 bytes)
-//	version  byte (= 1)
+//	version  byte (= 2; see manifestVersion)
 //	shards   uvarint
 //	seed     uint64, the Route hash seed
 //	kernel   uvarint length + kernel.Name() bytes
 //	sketch   flag byte 0 (disabled) or 1 (enabled); if enabled:
 //	         uvarint dim + uint64 seed
 //	crc      uint32 CRC-32C over everything above
+//
+// The version also fixes what the shard stores mean. Version 2 shard
+// engines hold corpus-wide ids, one id space across every shard. Version 1
+// shards held dense shard-local ids behind an id map that is gone, so their
+// files would read as colliding corpus-wide ids; a version-1 directory is
+// refused, and its corpus has to be ingested again into a new directory.
 const (
 	manifestName    = "MANIFEST"
 	manifestMagic   = "IOKSHRD1"
-	manifestVersion = 1
+	manifestVersion = 2
 )
 
 // maxShards bounds the shard count a manifest (or Options) may carry; a
@@ -86,7 +92,11 @@ func decodeManifest(data []byte) (manifest, error) {
 	if string(payload[:len(manifestMagic)]) != manifestMagic {
 		return m, fmt.Errorf("shard: bad manifest magic %q", payload[:len(manifestMagic)])
 	}
-	if v := payload[len(manifestMagic)]; v != manifestVersion {
+	switch v := payload[len(manifestMagic)]; v {
+	case manifestVersion:
+	case 1:
+		return m, fmt.Errorf("shard: manifest version 1: the shards hold shard-local ids, which this version no longer reads; ingest the corpus again into a new data directory")
+	default:
 		return m, fmt.Errorf("shard: unsupported manifest version %d", v)
 	}
 	br := bytes.NewReader(payload[len(manifestMagic)+1:])

@@ -1,16 +1,19 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
 	"iokast/internal/engine"
 	"iokast/internal/kernel"
+	"iokast/internal/matrixio"
 	"iokast/internal/obs"
 	"iokast/internal/store"
 	"iokast/internal/token"
@@ -38,24 +41,17 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// loc places one global id inside its owner shard.
-type loc struct {
-	shard int
-	local int
-}
-
 // Sharded is a hash-routed multi-shard corpus. Every trace lives in exactly
-// one shard (chosen by Route over its global id), mutations touch only the
-// owner shard (sub-batches of AddBatch run in parallel across shards), and
-// similarity queries fan out to every shard in parallel and merge exactly.
-// All methods are safe for concurrent use.
+// one shard, engines[Route(id)], which stores it under its corpus-wide id.
+// Mutations touch only the owner shard (sub-batches of AddBatch run in
+// parallel across shards), and similarity queries fan out to every shard
+// in parallel and merge exactly. All methods are safe for concurrent use.
 //
 // Mutations are serialised globally (one at a time, though a batch's
 // per-shard sub-batches and every kernel evaluation inside them run in
 // parallel). That matches the single engine, whose write lock serialises
-// mutations anyway, and it is what makes crash recovery tractable: at most
-// the one in-flight mutation can be torn across shard WALs, so recovery
-// only ever has to reconcile a single batch tail (see buildMapping).
+// mutations anyway, and it bounds what a crash can tear across shard WALs
+// to the one in-flight batch.
 type Sharded struct {
 	n    int
 	seed uint64
@@ -65,11 +61,7 @@ type Sharded struct {
 	stores  []*store.Store // nil entries when in-memory
 
 	ingest sync.Mutex // serialises Add/AddBatch/Remove, fixing the global order
-
-	mu       sync.RWMutex
-	locals   []loc   // global id -> owner shard and local id
-	globals  [][]int // per shard: local id -> global id
-	repaired int     // tombstone slots plugged while reconciling a torn batch
+	next   int        // the next global id; guarded by ingest
 
 	fanoutSec []*obs.Histogram // per-shard fan-out latency; nil = no telemetry
 }
@@ -82,10 +74,10 @@ func New(opt Options) (*Sharded, error) { return open("", opt) }
 // directory holds a MANIFEST pinning shard count, hash seed, and
 // kernel/sketch config, plus one store subdirectory (WAL + snapshot chain)
 // per shard. Every shard is recovered concurrently; a directory whose
-// manifest disagrees with opt is refused. After recovery the global id
-// mapping is rebuilt deterministically from the shards' id counts, rolling
-// a torn cross-shard batch forward where sub-batches committed and plugging
-// durable tombstone slots where they did not (see buildMapping).
+// manifest disagrees with opt is refused. The recovered corpus is the union
+// of the shards, and the next id follows the highest id any shard holds.
+// A batch that a crash tore across shard WALs keeps the sub-batches that
+// committed; the ids of a lost sub-batch never existed and read as absent.
 func Open(dir string, opt Options) (*Sharded, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("shard: empty directory (use New for an in-memory corpus)")
@@ -133,7 +125,6 @@ func open(dir string, opt Options) (*Sharded, error) {
 		n: n, seed: opt.Seed, dir: dir,
 		engines: make([]*engine.Engine, n),
 		stores:  make([]*store.Store, n),
-		globals: make([][]int, n),
 	}
 	if dir == "" {
 		for i := range s.engines {
@@ -169,9 +160,8 @@ func open(dir string, opt Options) (*Sharded, error) {
 			return nil, firstErr
 		}
 	}
-	if err := s.buildMapping(); err != nil {
-		s.closeStores()
-		return nil, err
+	for _, e := range s.engines {
+		s.next = max(s.next, e.NextID())
 	}
 	if opt.Obs != nil {
 		s.registerMetrics(opt.Obs)
@@ -217,101 +207,30 @@ func (s *Sharded) InternerSize() int {
 // directory.
 func ShardDir(i int) string { return fmt.Sprintf("shard-%03d", i) }
 
-// filler is the string plugged (and immediately tombstoned) into a shard to
-// occupy a local slot for a global id whose own sub-batch was lost in a
-// crash. It only has to be a valid weighted string; it is never live, so no
-// query can ever return it.
-var filler = token.String{{Literal: token.LitRoot, Weight: 1}}
-
-// maxRepair bounds the tombstone slots one recovery may plug. A torn batch
-// leaves at most one batch worth of holes; a walk that wants orders of
-// magnitude more is reconciling directories that were never one corpus.
-const maxRepair = 1 << 20
-
-// buildMapping rebuilds the global id mapping from the shards' id counts.
-//
-// Local ids within a shard are assigned in global order, so global id g
-// lives at local slot |{g' < g : Route(g') == Route(g)}| of its shard: the
-// whole mapping is determined by walking g upward and dealing each id to
-// the next free slot of its owner. On a cleanly produced directory the walk
-// consumes every shard's slots exactly.
-//
-// After a crash the shards may disagree by exactly the one in-flight
-// mutation (mutations are serialised): a cross-shard AddBatch whose
-// sub-batches committed in some shards but not others. The walk rolls the
-// committed sub-batches forward (preserving an unacknowledged mutation is
-// allowed; losing an acknowledged one is not, and acknowledged mutations
-// are fully committed in every shard by definition). For a global id whose
-// owner shard lost its sub-batch, the walk plugs the missing slot durably:
-// a filler entry is added and immediately tombstoned through the shard's
-// own WAL, so the id space stays dense, the mapping stays deterministic
-// across every future reopen, and the id reads as removed — exactly like
-// any other dead id. Repaired reports how many slots were plugged.
-func (s *Sharded) buildMapping() error {
-	counts := make([]int, s.n)
-	remaining := 0
-	for i, e := range s.engines {
-		counts[i] = e.NextID()
-		remaining += counts[i]
-	}
-	consumed := make([]int, s.n)
-	for g := 0; remaining > 0; g++ {
-		sh := Route(g, s.seed, s.n)
-		if consumed[sh] < counts[sh] {
-			s.locals = append(s.locals, loc{sh, consumed[sh]})
-			s.globals[sh] = append(s.globals[sh], g)
-			consumed[sh]++
-			remaining--
-			continue
-		}
-		if s.repaired >= maxRepair {
-			return fmt.Errorf("shard: recovery needs more than %d plugged slots; directory is not one corpus", maxRepair)
-		}
-		id := s.engines[sh].Add(filler.Clone())
-		if err := s.engines[sh].Remove(id); err != nil {
-			return fmt.Errorf("shard %d: tombstoning plugged slot %d: %w", sh, id, err)
-		}
-		if err := s.engines[sh].Err(); err != nil {
-			return fmt.Errorf("shard %d: persisting plugged slot %d: %w", sh, id, err)
-		}
-		counts[sh]++
-		s.locals = append(s.locals, loc{sh, id})
-		s.globals[sh] = append(s.globals[sh], g)
-		consumed[sh]++
-		s.repaired++
-	}
-	return nil
-}
-
 // --- mutations ------------------------------------------------------------
 
 // Add inserts a weighted string and returns its global id. Ids are assigned
 // sequentially and never reused; the entry lives only in its routed shard,
 // which pays the insertion's one kernel evaluation, the self-similarity.
 // Persistence failures surface through Err, exactly as on the single
-// engine.
+// engine, and a full id space makes Add return -1, as it does there.
 func (s *Sharded) Add(x token.String) int {
-	s.ingest.Lock()
-	defer s.ingest.Unlock()
-	s.mu.Lock()
-	g := len(s.locals)
-	sh := Route(g, s.seed, s.n)
-	local := len(s.globals[sh])
-	s.locals = append(s.locals, loc{sh, local})
-	s.globals[sh] = append(s.globals[sh], g)
-	s.mu.Unlock()
-	if got := s.engines[sh].Add(x); got != local {
-		panic(fmt.Sprintf("shard: engine %d assigned local id %d, supervisor expected %d (shard mutated outside the supervisor)", sh, got, local))
+	ids, _ := s.AddBatch([]token.String{x})
+	if ids == nil {
+		return -1
 	}
-	return g
+	return ids[0]
 }
 
 // AddBatch inserts m strings in one step and returns their global ids,
 // which are consecutive. The batch is split by routing into per-shard
-// sub-batches that are applied in parallel, each paying one WAL record and
-// one fsync in its own shard — cross-shard ingest scales with the shard
-// count. The returned error is the first per-shard persistence error; as
-// with the single engine, the in-memory insertion has still happened.
+// sub-batches that are inserted in parallel under their global ids, each
+// paying one WAL record and one fsync in its own shard — cross-shard
+// ingest scales with the shard count. One id space spans the shards, so a
+// batch that would run past matrixio.MaxSlots is refused whole with
+// engine.ErrIDSpaceFull before any shard sees it. Otherwise the returned
+// error is the first per-shard persistence error; as with the single
+// engine, the in-memory insertion has still happened.
 func (s *Sharded) AddBatch(xs []token.String) ([]int, error) {
 	m := len(xs)
 	if m == 0 {
@@ -319,22 +238,21 @@ func (s *Sharded) AddBatch(xs []token.String) ([]int, error) {
 	}
 	s.ingest.Lock()
 	defer s.ingest.Unlock()
+	if s.next+m > matrixio.MaxSlots {
+		return nil, fmt.Errorf("%w: batch of %d at id %d", engine.ErrIDSpaceFull, m, s.next)
+	}
+	ids := make([]int, m)
+	subIDs := make([][]int, s.n)
 	subs := make([][]token.String, s.n)
-	s.mu.Lock()
-	first := len(s.locals)
-	for t := 0; t < m; t++ {
-		g := first + t
+	for t, x := range xs {
+		g := s.next + t
 		sh := Route(g, s.seed, s.n)
-		s.locals = append(s.locals, loc{sh, len(s.globals[sh])})
-		s.globals[sh] = append(s.globals[sh], g)
-		subs[sh] = append(subs[sh], xs[t])
+		ids[t] = g
+		subIDs[sh] = append(subIDs[sh], g)
+		subs[sh] = append(subs[sh], x)
 	}
-	s.mu.Unlock()
+	s.next += m
 
-	firstLocal := make([]int, s.n)
-	for sh := range firstLocal {
-		firstLocal[sh] = s.engines[sh].NextID()
-	}
 	errs := make([]error, s.n)
 	var wg sync.WaitGroup
 	for sh := range subs {
@@ -344,19 +262,10 @@ func (s *Sharded) AddBatch(xs []token.String) ([]int, error) {
 		wg.Add(1)
 		go func(sh int) {
 			defer wg.Done()
-			ids, err := s.engines[sh].AddBatch(subs[sh])
-			errs[sh] = err
-			if len(ids) > 0 && ids[0] != firstLocal[sh] {
-				panic(fmt.Sprintf("shard: engine %d batch started at local id %d, supervisor expected %d (shard mutated outside the supervisor)", sh, ids[0], firstLocal[sh]))
-			}
+			errs[sh] = s.engines[sh].Insert(subIDs[sh], subs[sh])
 		}(sh)
 	}
 	wg.Wait()
-
-	ids := make([]int, m)
-	for t := range ids {
-		ids[t] = first + t
-	}
 	for _, err := range errs {
 		if err != nil {
 			return ids, err
@@ -370,17 +279,15 @@ func (s *Sharded) AddBatch(xs []token.String) ([]int, error) {
 func (s *Sharded) Remove(id int) error {
 	s.ingest.Lock()
 	defer s.ingest.Unlock()
-	s.mu.RLock()
-	if id < 0 || id >= len(s.locals) {
-		s.mu.RUnlock()
-		return fmt.Errorf("shard: no entry with id %d", id)
-	}
-	lc := s.locals[id]
-	s.mu.RUnlock()
-	if err := s.engines[lc.shard].Remove(lc.local); err != nil {
+	if err := s.owner(id).Remove(id); err != nil {
 		return fmt.Errorf("shard: no entry with id %d", id)
 	}
 	return nil
+}
+
+// owner returns the engine that stores the global id.
+func (s *Sharded) owner(id int) *engine.Engine {
+	return s.engines[Route(id, s.seed, s.n)]
 }
 
 // --- queries --------------------------------------------------------------
@@ -390,36 +297,13 @@ func (s *Sharded) Remove(id int) error {
 // does, and MaxInt always is.
 const exactRerank = math.MaxInt
 
-// resolve returns the stored string and location of a live global id.
-func (s *Sharded) resolve(id int) (token.String, loc, error) {
-	s.mu.RLock()
-	if id < 0 || id >= len(s.locals) {
-		s.mu.RUnlock()
-		return nil, loc{}, fmt.Errorf("shard: no entry with id %d", id)
-	}
-	lc := s.locals[id]
-	s.mu.RUnlock()
-	x, ok := s.engines[lc.shard].StringAt(lc.local)
-	if !ok {
-		return nil, loc{}, fmt.Errorf("shard: no entry with id %d", id)
-	}
-	return x, lc, nil
-}
-
-// storedQuery resolves a global id and prepares the fan-out query from
-// the owner engine's stored state — view, feature map, self-similarity,
-// sketch vector, band signature — without recomputing any of it: the
-// embedding was paid at ingest, never per query. The owner engine
-// excludes the id from its own candidates; the other shards see a trace.
+// storedQuery prepares the fan-out query for a live global id from the
+// owner engine's stored state — view, feature map, self-similarity, sketch
+// vector, band signature — without recomputing any of it: the embedding
+// was paid at ingest, never per query. The owner engine excludes the id
+// from its own candidates; the other shards see a trace.
 func (s *Sharded) storedQuery(id int) (*engine.TraceQuery, error) {
-	s.mu.RLock()
-	if id < 0 || id >= len(s.locals) {
-		s.mu.RUnlock()
-		return nil, fmt.Errorf("shard: no entry with id %d", id)
-	}
-	lc := s.locals[id]
-	s.mu.RUnlock()
-	tq, err := s.engines[lc.shard].PrepareStoredQuery(lc.local)
+	tq, err := s.owner(id).PrepareStoredQuery(id)
 	if err != nil {
 		return nil, fmt.Errorf("shard: no entry with id %d", id)
 	}
@@ -491,27 +375,19 @@ func (s *Sharded) query(tq *engine.TraceQuery, k, rerank int) ([]engine.Neighbor
 			return nil, fmt.Errorf("shard %d: %w", sh, err)
 		}
 	}
-	merged := s.merge(res)
-	sortNeighbors(merged)
-	return truncate(merged, k), nil
-}
-
-// merge maps the per-shard results to global ids and concatenates them,
-// unsorted, into one preallocated slice.
-func (s *Sharded) merge(res [][]engine.Neighbor) []engine.Neighbor {
 	total := 0
 	for _, ns := range res {
 		total += len(ns)
 	}
-	out := make([]engine.Neighbor, 0, total)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for sh, ns := range res {
-		for _, nb := range ns {
-			out = append(out, engine.Neighbor{ID: s.globals[sh][nb.ID], Similarity: nb.Similarity})
-		}
+	merged := make([]engine.Neighbor, 0, total)
+	for _, ns := range res {
+		merged = append(merged, ns...)
 	}
-	return out
+	// engine.SortNeighbors is the one definition of the order every engine
+	// returns, so the per-shard truncations broke ties exactly as this
+	// sort does.
+	engine.SortNeighbors(merged)
+	return truncate(merged, k), nil
 }
 
 // Similar returns the k live entries most similar to the given global id,
@@ -565,14 +441,6 @@ func (s *Sharded) SimilarTrace(x token.String, k, rerank int) ([]engine.Neighbor
 	return s.query(tq, k, s.shardRerank(k, rerank))
 }
 
-// sortNeighbors orders merged results by decreasing similarity with ties
-// by ascending global id — engine.SortNeighbors, the one definition of the
-// order engine.Similar produces, which is what makes the merged result
-// comparable bit for bit. Within one shard, local id order is global id
-// order (both are assigned in arrival order), so the per-shard truncations
-// performed before the merge break ties identically.
-func sortNeighbors(out []engine.Neighbor) { engine.SortNeighbors(out) }
-
 func truncate(ns []engine.Neighbor, k int) []engine.Neighbor {
 	if k >= 0 && k < len(ns) {
 		ns = ns[:k]
@@ -614,14 +482,10 @@ func (s *Sharded) Len() int {
 
 // NextID returns the global id the next Add would assign.
 func (s *Sharded) NextID() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.locals)
+	s.ingest.Lock()
+	defer s.ingest.Unlock()
+	return s.next
 }
-
-// Repaired returns how many tombstone slots recovery plugged while
-// reconciling a torn cross-shard batch (0 after a clean open).
-func (s *Sharded) Repaired() int { return s.repaired }
 
 // Err returns the first persistence failure of any shard, or nil. Like
 // engine.Err it is sticky: a non-nil value means some shard's in-memory
@@ -663,41 +527,36 @@ func (s *Sharded) Stats() []store.Stats {
 
 // StringAt returns a copy of the live corpus string with the given global
 // id. ok is false for ids that were never assigned or have been removed —
-// the global-id form of engine.StringAt.
+// the owner engine's StringAt.
 func (s *Sharded) StringAt(id int) (token.String, bool) {
-	x, _, err := s.resolve(id)
-	if err != nil {
-		return nil, false
-	}
-	return x, true
+	return s.owner(id).StringAt(id)
 }
 
 // Has reports whether the global id names a live entry, without copying the
-// stored string — the global-id form of engine.Has.
+// stored string — the owner engine's Has.
 func (s *Sharded) Has(id int) bool {
-	s.mu.RLock()
-	if id < 0 || id >= len(s.locals) {
-		s.mu.RUnlock()
-		return false
-	}
-	lc := s.locals[id]
-	s.mu.RUnlock()
-	return s.engines[lc.shard].Has(lc.local)
+	return s.owner(id).Has(id)
 }
 
 // Strings returns copies of the live corpus strings in global id order,
-// with their global ids.
+// with their global ids: the shards' lists, merged by id.
 func (s *Sharded) Strings() ([]token.String, []int) {
-	s.mu.RLock()
-	locals := append([]loc(nil), s.locals...)
-	s.mu.RUnlock()
-	var xs []token.String
-	var ids []int
-	for g, lc := range locals {
-		if x, ok := s.engines[lc.shard].StringAt(lc.local); ok {
-			xs = append(xs, x)
-			ids = append(ids, g)
+	type live struct {
+		id int
+		x  token.String
+	}
+	var all []live
+	for _, e := range s.engines {
+		xs, ids := e.Strings()
+		for i, id := range ids {
+			all = append(all, live{id, xs[i]})
 		}
+	}
+	slices.SortFunc(all, func(a, b live) int { return cmp.Compare(a.id, b.id) })
+	xs := make([]token.String, len(all))
+	ids := make([]int, len(all))
+	for i, l := range all {
+		xs[i], ids[i] = l.x, l.id
 	}
 	return xs, ids
 }

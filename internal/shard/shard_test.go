@@ -1,6 +1,9 @@
 package shard
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +12,7 @@ import (
 	"iokast/internal/core"
 	"iokast/internal/engine"
 	"iokast/internal/iogen"
+	"iokast/internal/matrixio"
 	"iokast/internal/store"
 	"iokast/internal/token"
 )
@@ -163,6 +167,41 @@ func TestOpenRefusesMismatchedManifest(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesVersion1Manifest: version-1 shard stores hold shard-local
+// ids, which would read as colliding corpus-wide ids, so a directory whose
+// MANIFEST says version 1 must be refused, with the way out in the message,
+// even though its shard subdirectories are intact.
+func TestOpenRefusesVersion1Manifest(t *testing.T) {
+	dir := t.TempDir()
+	opt := kastOptions()
+	s, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddBatch(corpus(t, 6, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(dir, manifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := data[:len(data)-4]
+	payload[len(manifestMagic)] = 1
+	v1 := binary.LittleEndian.AppendUint32(payload, crc32.Checksum(payload, manifestCRCTable))
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir, opt)
+	if err == nil || !strings.Contains(err.Error(), "manifest version 1") || !strings.Contains(err.Error(), "ingest the corpus again") {
+		t.Fatalf("version-1 directory: got error %v", err)
+	}
+}
+
 // TestRefusesForeignLayouts: a single-engine data dir must not be silently
 // adopted by shard.Open (its corpus would vanish behind a fresh MANIFEST
 // and empty shard subdirs), and a sharded dir must not be opened as a
@@ -298,9 +337,6 @@ func TestShardedDurableReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Repaired() != 0 {
-		t.Fatalf("clean reopen plugged %d slots", r.Repaired())
-	}
 	if r.Len() != len(xs)-1 || r.NextID() != len(xs) {
 		t.Fatalf("recovered Len=%d NextID=%d, want %d/%d", r.Len(), r.NextID(), len(xs)-1, len(xs))
 	}
@@ -364,9 +400,6 @@ func TestShardedKillWithoutClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Repaired() != 0 {
-		t.Fatalf("acknowledged-only crash plugged %d slots", r.Repaired())
-	}
 	gotStrings, gotIDs := r.Strings()
 	assertSameStrings(t, wantStrings, wantIDs, gotStrings, gotIDs)
 	gotSim, err := r.Similar(1, -1)
@@ -379,8 +412,8 @@ func TestShardedKillWithoutClose(t *testing.T) {
 // TestShardedTornBatchRecovery kills mid-AddBatch: one shard committed its
 // sub-batch, the others never saw theirs. Recovery must keep every
 // acknowledged entry, roll the committed (unacknowledged) sub-batch
-// forward, plug durable tombstones for the lost globals, and settle into a
-// state that is identical on every further reopen.
+// forward, leave the lost ids absent, and settle into a state that is
+// identical on every further reopen.
 func TestShardedTornBatchRecovery(t *testing.T) {
 	dir := t.TempDir()
 	xs := corpus(t, 24, 4)
@@ -414,7 +447,7 @@ func TestShardedTornBatchRecovery(t *testing.T) {
 	if len(committed) == 0 || len(lost) == 0 {
 		t.Fatalf("degenerate routing for this seed: committed=%v lost=%v", committed, lost)
 	}
-	if _, err := s.engines[target].AddBatch(sub); err != nil {
+	if err := s.engines[target].Insert(committed, sub); err != nil {
 		t.Fatal(err)
 	}
 	// Kill: no Close.
@@ -423,18 +456,9 @@ func TestShardedTornBatchRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Globals after the last committed one never materialised; the walk
-	// stops there, so only lost ids *before* it are plugged.
+	// Globals after the last committed one never materialised, so they are
+	// assigned again.
 	lastCommitted := committed[len(committed)-1]
-	wantPlugged := 0
-	for _, g := range lost {
-		if g < lastCommitted {
-			wantPlugged++
-		}
-	}
-	if r.Repaired() != wantPlugged {
-		t.Fatalf("Repaired() = %d, want %d (lost=%v committed=%v)", r.Repaired(), wantPlugged, lost, committed)
-	}
 	if r.NextID() != lastCommitted+1 {
 		t.Fatalf("NextID = %d, want %d", r.NextID(), lastCommitted+1)
 	}
@@ -455,7 +479,7 @@ func TestShardedTornBatchRecovery(t *testing.T) {
 		}
 	}
 	// The committed sub-batch rolled forward live; the lost globals read as
-	// removed.
+	// absent.
 	for _, g := range committed {
 		if _, ok := byID[g]; !ok {
 			t.Fatalf("rolled-forward id %d not live", g)
@@ -467,7 +491,7 @@ func TestShardedTornBatchRecovery(t *testing.T) {
 		}
 		if g < lastCommitted {
 			if err := r.Remove(g); err == nil {
-				t.Fatalf("plugged id %d accepted a Remove", g)
+				t.Fatalf("lost id %d accepted a Remove", g)
 			}
 		}
 	}
@@ -480,28 +504,23 @@ func TestShardedTornBatchRecovery(t *testing.T) {
 	if _, err := r.Similar(newID, 5); err != nil {
 		t.Fatal(err)
 	}
-	mapping := append([]loc(nil), r.locals...)
+	wantStrings, wantIDs := r.Strings()
+	wantNext := r.NextID()
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The repair is durable and the mapping deterministic: a further reopen
-	// plugs nothing and derives the identical id layout.
+	// Recovery is deterministic: a further reopen yields the identical
+	// corpus and next id.
 	r2, err := Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	if r2.Repaired() != 0 {
-		t.Fatalf("second reopen plugged %d slots (repair was not durable)", r2.Repaired())
-	}
-	if len(r2.locals) != len(mapping) {
-		t.Fatalf("mapping length %d vs %d across reopen", len(r2.locals), len(mapping))
-	}
-	for g, lc := range mapping {
-		if r2.locals[g] != lc {
-			t.Fatalf("global %d mapped to %+v, was %+v before reopen", g, r2.locals[g], lc)
-		}
+	gotStrings, gotIDs = r2.Strings()
+	assertSameStrings(t, wantStrings, wantIDs, gotStrings, gotIDs)
+	if r2.NextID() != wantNext {
+		t.Fatalf("NextID = %d after second reopen, want %d", r2.NextID(), wantNext)
 	}
 }
 
@@ -517,5 +536,35 @@ func assertSameStrings(t *testing.T, wantStrings []token.String, wantIDs []int, 
 		if !wantStrings[i].Equal(gotStrings[i]) {
 			t.Fatalf("entry %d does not match", wantIDs[i])
 		}
+	}
+}
+
+// TestShardedIDSpaceLimit: one id space spans the shards, so the snapshot
+// slot limit bounds the corpus as a whole. A batch that would cross it is
+// refused whole, before any shard inserts a part of it, and Add past it
+// returns -1.
+func TestShardedIDSpaceLimit(t *testing.T) {
+	xs := corpus(t, 2, 1)
+	opt := kastOptions()
+	opt.Engine.SketchDim = -1
+	s, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := matrixio.MaxSlots - 1
+	s.next = last
+	if ids, err := s.AddBatch(xs); ids != nil || !errors.Is(err, engine.ErrIDSpaceFull) {
+		t.Fatalf("AddBatch across the limit = %v, %v; want nil, ErrIDSpaceFull", ids, err)
+	}
+	for sh, e := range s.engines {
+		if e.NextID() != 0 {
+			t.Fatalf("shard %d took part of a refused batch: NextID %d", sh, e.NextID())
+		}
+	}
+	if id := s.Add(xs[0]); id != last || !s.Has(last) {
+		t.Fatalf("Add of the last id = %d (Has=%v), want %d", id, s.Has(last), last)
+	}
+	if id := s.Add(xs[1]); id != -1 || s.NextID() != matrixio.MaxSlots || s.Len() != 1 {
+		t.Fatalf("Add past the limit = %d, NextID=%d Len=%d; want -1, %d, 1", id, s.NextID(), s.Len(), matrixio.MaxSlots)
 	}
 }

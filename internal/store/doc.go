@@ -20,9 +20,10 @@
 // A data directory holds snap-<seq>.iok snapshots and wal-<seq>.log
 // segments; <seq> is the mutation count at which the file begins, so
 // segments tile the history contiguously and recovery replays exactly the
-// records a snapshot has not yet captured. A torn record at the tail of
-// the last segment — the normal result of kill -9 mid-write — cleanly ends
-// replay at the last intact mutation. Writes that must be atomic as a
+// records a snapshot has not yet captured; a segment that does not start
+// where the one before it ended fails recovery. A torn record at the tail
+// of the last segment — the normal result of kill -9 mid-write — cleanly
+// ends replay at the last intact mutation. Writes that must be atomic as a
 // whole (snapshots; the shard MANIFEST and classify LABELS files reuse
 // AtomicWriteFile) go to a temp file, fsync, then rename.
 //

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"iokast/internal/token"
@@ -15,10 +17,29 @@ func walBytes() []byte {
 	x1, _ := token.Parse("[ROOT]:1 open[0]:1 write[1024]:3 [LEVEL_UP]:2")
 	x2, _ := token.Parse("[ROOT]:1 read[512]:7")
 	var buf bytes.Buffer
-	encodeRecord(&buf, record{typ: recAdd, id: 0, strings: []token.String{x1}})
-	encodeRecord(&buf, record{typ: recBatch, id: 1, strings: []token.String{x2, x1}})
-	encodeRecord(&buf, record{typ: recRemove, id: 0})
+	encodeRecord(&buf, record{typ: recInsert, ids: []int{0}, strings: []token.String{x1}})
+	encodeRecord(&buf, record{typ: recInsert, ids: []int{1, 2}, strings: []token.String{x2, x1}})
+	encodeRecord(&buf, record{typ: recRemove, ids: []int{0}})
 	return buf.Bytes()
+}
+
+// skippedIDsBytes is one insert record whose ids skip slots, as a shard
+// engine of a sharded corpus logs them.
+func skippedIDsBytes() []byte {
+	x, _ := token.Parse("[ROOT]:1 write[64]:4")
+	var buf bytes.Buffer
+	encodeRecord(&buf, record{typ: recInsert, ids: []int{3, 9, 10, 200}, strings: []token.String{x, x, x, x}})
+	return buf.Bytes()
+}
+
+// legacySegment reads the WAL segment of testdata/legacy-crash: add, batch
+// and remove records as earlier versions wrote them.
+func legacySegment(f *testing.F) []byte {
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy-crash", "wal-0000000000000000.log"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data
 }
 
 // FuzzWALRecordParsing throws arbitrary bytes at the record reader: it must
@@ -36,6 +57,8 @@ func FuzzWALRecordParsing(f *testing.F) {
 	f.Add(mut)
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 1, 2, 3, 4})
+	f.Add(legacySegment(f))
+	f.Add(skippedIDsBytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
@@ -48,8 +71,8 @@ func FuzzWALRecordParsing(f *testing.F) {
 				}
 				break
 			}
-			if rec.typ != recAdd && rec.typ != recRemove && rec.typ != recBatch {
-				t.Fatalf("reader accepted unknown type %d", rec.typ)
+			if rec.typ != recInsert && rec.typ != recRemove {
+				t.Fatalf("reader returned type %d, want an insert or a remove", rec.typ)
 			}
 			accepted = append(accepted, rec)
 			if len(accepted) > 1<<12 {
@@ -67,7 +90,7 @@ func FuzzWALRecordParsing(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-read record %d: %v", i, err)
 			}
-			if got.typ != want.typ || got.id != want.id || len(got.strings) != len(want.strings) {
+			if got.typ != want.typ || !slices.Equal(got.ids, want.ids) || len(got.strings) != len(want.strings) {
 				t.Fatalf("record %d mutated on round trip: %+v vs %+v", i, got, want)
 			}
 			for j := range want.strings {
@@ -87,16 +110,16 @@ func FuzzWALTailTruncation(f *testing.F) {
 	for cut := 0; cut <= len(good); cut += 13 {
 		f.Add(good[:cut])
 	}
+	f.Add(legacySegment(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng := kastEngine()
-		torn, err := (&Store{}).replaySegment(eng, segment{start: 0, path: writeTempSegment(t, data)}, 0)
+		_, _, err := (&Store{}).replaySegment(eng, segment{start: 0, path: writeTempSegment(t, data)}, 0)
 		if err != nil {
-			// Only sequencing errors (id mismatches) are allowed to surface;
-			// they must be deterministic, not panics. Anything CRC-invalid
-			// must have been reported as torn instead.
+			// Only sequencing errors (ids the engine refuses) are allowed to
+			// surface; they must be deterministic, not panics. Anything
+			// CRC-invalid must have been reported as torn instead.
 			return
 		}
-		_ = torn
 		// The recovered engine must be internally consistent.
 		g, ids := eng.Gram()
 		if g.Rows != len(ids) {

@@ -26,7 +26,8 @@ import (
 // Segments are contiguous: each rotation starts the next segment at the
 // current sequence number, so segment k ends where segment k+1 begins.
 // Recovery restores the newest readable snapshot, then replays every
-// record at or after its sequence number from the covering segments.
+// record at or after its sequence number from the covering segments, and
+// refuses a segment that does not start where the one before it ended.
 const (
 	snapPattern = "snap-%016d.iok"
 	walPattern  = "wal-%016d.log"
@@ -235,7 +236,12 @@ func restoreSnapshot(eng *engine.Engine, path string) (err error) {
 
 // replay applies every record at or after fromSeq. It returns torn=true if
 // it stopped at an unreadable record (everything before it was applied).
+// Inserts may skip ids, so the ids cannot reveal a missing segment; the
+// sequence numbers do: each replayed segment must start where the one
+// before it ended.
 func (s *Store) replay(eng *engine.Engine, segs []segment, fromSeq uint64) (torn bool, err error) {
+	replayed := false
+	var end uint64
 	for i, seg := range segs {
 		// A segment is entirely superseded if the next one starts at or
 		// before fromSeq.
@@ -245,7 +251,10 @@ func (s *Store) replay(eng *engine.Engine, segs []segment, fromSeq uint64) (torn
 		if seg.start > fromSeq && i == 0 {
 			return false, fmt.Errorf("store: replay gap: oldest segment starts at %d, snapshot at %d", seg.start, fromSeq)
 		}
-		torn, err = s.replaySegment(eng, seg, fromSeq)
+		if replayed && seg.start != end {
+			return false, fmt.Errorf("store: replay gap: %s starts at %d, the segment before it ends at %d", seg.path, seg.start, end)
+		}
+		end, torn, err = s.replaySegment(eng, seg, fromSeq)
 		if err != nil {
 			return false, err
 		}
@@ -255,14 +264,17 @@ func (s *Store) replay(eng *engine.Engine, segs []segment, fromSeq uint64) (torn
 			// point) are ignored.
 			return true, nil
 		}
+		replayed = true
 	}
 	return false, nil
 }
 
-func (s *Store) replaySegment(eng *engine.Engine, seg segment, fromSeq uint64) (torn bool, err error) {
+// replaySegment applies the segment's records at or after fromSeq and
+// returns the sequence number its last intact record ends at.
+func (s *Store) replaySegment(eng *engine.Engine, seg segment, fromSeq uint64) (end uint64, torn bool, err error) {
 	f, err := os.Open(seg.path)
 	if err != nil {
-		return false, fmt.Errorf("store: %w", err)
+		return 0, false, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<16)
@@ -270,68 +282,63 @@ func (s *Store) replaySegment(eng *engine.Engine, seg segment, fromSeq uint64) (
 	for {
 		rec, err := readRecord(br)
 		if err == io.EOF {
-			return false, nil
+			return seq, false, nil
 		}
 		if errors.Is(err, errTornRecord) {
-			return true, nil
+			return seq, true, nil
 		}
 		if err != nil {
-			return false, fmt.Errorf("store: %s: %w", seg.path, err)
+			return 0, false, fmt.Errorf("store: %s: %w", seg.path, err)
 		}
 		end := seq + rec.ops()
 		switch {
 		case end <= fromSeq: // fully covered by the snapshot
 		case seq >= fromSeq:
 			if err := apply(eng, rec); err != nil {
-				return false, fmt.Errorf("store: %s at seq %d: %w", seg.path, seq, err)
+				return 0, false, fmt.Errorf("store: %s at seq %d: %w", seg.path, seq, err)
 			}
 			s.opts.Metrics.ReplayRecords.Inc()
 		default:
-			return false, fmt.Errorf("store: %s: snapshot seq %d splits record [%d,%d)", seg.path, fromSeq, seq, end)
+			return 0, false, fmt.Errorf("store: %s: snapshot seq %d splits record [%d,%d)", seg.path, fromSeq, seq, end)
 		}
 		seq = end
 	}
 }
 
 // apply replays one record. The engine has no log attached during replay,
-// so nothing is re-appended.
+// so nothing is re-appended; Insert refuses ids below the engine's NextID,
+// so a record is never applied twice.
 func apply(eng *engine.Engine, rec record) error {
-	switch rec.typ {
-	case recAdd:
-		if next := eng.NextID(); next != rec.id {
-			return fmt.Errorf("add record for id %d, engine at %d", rec.id, next)
-		}
-		eng.Add(rec.strings[0])
-	case recBatch:
-		if next := eng.NextID(); next != rec.id {
-			return fmt.Errorf("batch record for id %d, engine at %d", rec.id, next)
-		}
-		if _, err := eng.AddBatch(rec.strings); err != nil {
-			return err
-		}
-	case recRemove:
-		return eng.Remove(rec.id)
+	if rec.typ == recRemove {
+		return eng.Remove(rec.ids[0])
 	}
-	return nil
+	return eng.Insert(rec.ids, rec.strings)
 }
 
 // --- engine.Log implementation -------------------------------------------
 
-// LogAdd, LogAddBatch and LogRemove append one framed record and flush it
-// to the OS (plus fsync unless NoSync). They are called under the engine's
-// write lock, which serialises them and keeps the log order equal to the
-// id order.
+// LogInsert and LogRemove append one framed record and flush it to the OS
+// (plus fsync unless NoSync). They are called under the engine's write
+// lock, which serialises them and keeps the log order equal to the id
+// order.
 
-func (s *Store) LogAdd(id int, x token.String) error {
-	return s.append(record{typ: recAdd, id: id, strings: []token.String{x}})
-}
-
-func (s *Store) LogAddBatch(firstID int, xs []token.String) error {
-	return s.append(record{typ: recBatch, id: firstID, strings: xs})
+func (s *Store) LogInsert(ids []int, xs []token.String) error {
+	return s.append(record{typ: recInsert, ids: ids, strings: xs})
 }
 
 func (s *Store) LogRemove(id int) error {
-	return s.append(record{typ: recRemove, id: id})
+	return s.append(record{typ: recRemove, ids: []int{id}})
+}
+
+// LogAddBatch logs xs as one insert under the consecutive ids firstID,
+// firstID+1, .... The engine never calls it; perfbench's traced run does,
+// to time WAL appends alone (store.wal_append_us).
+func (s *Store) LogAddBatch(firstID int, xs []token.String) error {
+	ids := make([]int, len(xs))
+	for t := range ids {
+		ids[t] = firstID + t
+	}
+	return s.LogInsert(ids, xs)
 }
 
 func (s *Store) append(rec record) error {

@@ -2,8 +2,13 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +17,7 @@ import (
 	"iokast/internal/engine"
 	"iokast/internal/iogen"
 	"iokast/internal/kernel"
+	"iokast/internal/matrixio"
 	"iokast/internal/token"
 )
 
@@ -440,18 +446,38 @@ func TestOpenEmptyDirAndReopen(t *testing.T) {
 	}
 }
 
-// TestWALRecordRoundTrip checks the record codec directly.
+// TestWALRecordRoundTrip checks the record codec directly: inserts with
+// consecutive and skipped ids and removes round-trip, and the add and
+// batch records of earlier versions decode as the inserts they stand for.
 func TestWALRecordRoundTrip(t *testing.T) {
 	xs := corpus(t, 3, 11)
 	recs := []record{
-		{typ: recAdd, id: 0, strings: xs[:1]},
-		{typ: recBatch, id: 1, strings: xs[1:]},
-		{typ: recRemove, id: 1},
-		{typ: recAdd, id: 7, strings: []token.String{{}}}, // empty string
+		{typ: recInsert, ids: []int{0}, strings: xs[:1]},
+		{typ: recInsert, ids: []int{1, 2}, strings: xs[1:]},
+		{typ: recRemove, ids: []int{1}},
+		{typ: recInsert, ids: []int{7}, strings: []token.String{{}}}, // empty string
+		{typ: recInsert, ids: []int{9, 12, 400}, strings: xs},
+		// Well-formed however large: the engine, not the codec, bounds ids
+		// (TestReplayRefusesIDPastLimit).
+		{typ: recInsert, ids: []int{1 << 40}, strings: xs[:1]},
 	}
 	var buf bytes.Buffer
 	for _, r := range recs {
 		encodeRecord(&buf, r)
+	}
+	// Legacy payloads, framed by hand: add id 5, then a batch of two at 6.
+	legacy := []struct {
+		payload []byte
+		want    record
+	}{
+		{append([]byte{recAdd, 5}, stringBytes(xs[0])...),
+			record{typ: recInsert, ids: []int{5}, strings: xs[:1]}},
+		{append(append([]byte{recBatch, 6, 2}, stringBytes(xs[1])...), stringBytes(xs[2])...),
+			record{typ: recInsert, ids: []int{6, 7}, strings: xs[1:]}},
+	}
+	for _, l := range legacy {
+		buf.Write(frame(l.payload))
+		recs = append(recs, l.want)
 	}
 	r := bytes.NewReader(buf.Bytes())
 	for i, want := range recs {
@@ -459,7 +485,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		if got.typ != want.typ || got.id != want.id || len(got.strings) != len(want.strings) {
+		if got.typ != want.typ || !slices.Equal(got.ids, want.ids) || len(got.strings) != len(want.strings) {
 			t.Fatalf("record %d: got %+v, want %+v", i, got, want)
 		}
 		for j := range want.strings {
@@ -471,6 +497,164 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	if _, err := readRecord(r); err == nil || err.Error() != "EOF" {
 		t.Fatalf("expected clean EOF, got %v", err)
 	}
+
+	// An insert whose ids do not increase is corrupt.
+	bad := append([]byte{recInsert, 2, 4, 0}, stringBytes(xs[0])...)
+	bad = append(bad, stringBytes(xs[1])...)
+	if _, err := readRecord(bytes.NewReader(frame(bad))); !errors.Is(err, errTornRecord) {
+		t.Fatalf("repeated insert id decoded: %v", err)
+	}
+}
+
+// stringBytes is a string as a record payload carries it.
+func stringBytes(x token.String) []byte {
+	var buf bytes.Buffer
+	appendString(&buf, x)
+	return buf.Bytes()
+}
+
+// frame wraps a payload in a record frame: length, CRC-32C, payload.
+func frame(payload []byte) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, walCRCTable))
+	return append(out, payload...)
+}
+
+// TestReplayRefusesMissingSegment: the ids of an insert may skip, so only
+// the sequence numbers show that a middle WAL segment is gone. Recovery
+// must refuse the directory rather than open it with a hole.
+func TestReplayRefusesMissingSegment(t *testing.T) {
+	dir := t.TempDir()
+	xs := corpus(t, 6, 12)
+	eng, st := mustOpen(t, dir)
+	saved := map[string][]byte{}
+	for i := 0; i < 3; i++ {
+		for _, x := range xs[2*i : 2*i+2] {
+			eng.Add(x)
+		}
+		_, segs, err := scanDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range segs {
+			data, err := os.ReadFile(seg.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			saved[filepath.Base(seg.path)] = data
+		}
+		if i < 2 {
+			if err := st.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := eng.Err(); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{fmt.Sprintf(walPattern, 0), fmt.Sprintf(walPattern, 2), fmt.Sprintf(walPattern, 4)}
+	build := func(names ...string) string {
+		d := t.TempDir()
+		for _, name := range names {
+			data, ok := saved[name]
+			if !ok {
+				t.Fatalf("segment %s was never written", name)
+			}
+			if err := os.WriteFile(filepath.Join(d, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d
+	}
+
+	// All three segments replay to the whole corpus.
+	whole, st2 := mustOpen(t, build(names...))
+	sameGram(t, eng, whole, "replay of every segment")
+	st2.Close()
+
+	if _, _, err := Open(build(names[0], names[2]), kastEngine, Options{SnapshotEvery: -1}); err == nil {
+		t.Fatal("opened a directory missing its middle WAL segment")
+	} else if !strings.Contains(err.Error(), "replay gap") {
+		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestReplayRefusesIDPastLimit: a CRC is no MAC, so a well-formed insert
+// record may carry any id. Replay goes through engine.Insert, which must
+// refuse an id past the snapshot slot limit before it sizes anything by
+// it; the directory fails to open instead of allocating up to that id.
+func TestReplayRefusesIDPastLimit(t *testing.T) {
+	xs := corpus(t, 2, 13)
+	for _, ids := range [][]int{{1 << 40}, {0, matrixio.MaxSlots}} {
+		dir := t.TempDir()
+		var buf bytes.Buffer
+		encodeRecord(&buf, record{typ: recInsert, ids: ids, strings: xs[:len(ids)]})
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf(walPattern, 0)), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Open(dir, kastEngine, Options{SnapshotEvery: -1}); !errors.Is(err, engine.ErrIDSpaceFull) {
+			t.Fatalf("replay of an insert at ids %v: got error %v, want ErrIDSpaceFull", ids, err)
+		}
+	}
+}
+
+// TestLegacyWALFixture opens a copy of testdata/legacy-crash, a crash image
+// written by an earlier version that logged add and batch records: its
+// initial empty snapshot plus one segment holding an add record (id 0), a
+// batch record (ids 1-3) and a remove record (id 2), abandoned without
+// Close. The strings are the first four of corpus(t, n, 31). Recovery must
+// read those records as the inserts and the remove they stand for; the
+// store then appends in the current format and reopens.
+func TestLegacyWALFixture(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "legacy-crash")
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	xs := corpus(t, 5, 31)
+	check := func(eng *engine.Engine, wantIDs []int, wantNext int, context string) {
+		t.Helper()
+		got, ids := eng.Strings()
+		if !slices.Equal(ids, wantIDs) || eng.NextID() != wantNext {
+			t.Fatalf("%s: live ids %v, NextID %d; want %v, %d", context, ids, eng.NextID(), wantIDs, wantNext)
+		}
+		for i, id := range ids {
+			if !got[i].Equal(xs[id]) {
+				t.Fatalf("%s: id %d holds the wrong string", context, id)
+			}
+		}
+	}
+
+	eng, _ := mustOpen(t, dir)
+	check(eng, []int{0, 1, 3}, 4, "fixture recovery")
+	if eng.Seq() != 5 {
+		t.Fatalf("fixture recovery: seq %d, want 5", eng.Seq())
+	}
+	if id := eng.Add(xs[4]); id != 4 {
+		t.Fatalf("Add after fixture recovery assigned %d, want 4", id)
+	}
+	if err := eng.Remove(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Err(); err != nil {
+		t.Fatal(err)
+	}
+	// Kill again, without Close: the new records replay after the
+	// checkpoint Open wrote.
+	reng, st2 := mustOpen(t, dir)
+	defer st2.Close()
+	check(reng, []int{1, 3, 4}, 5, "reopen")
+	sameGram(t, eng, reng, "reopen after appending to the fixture")
 }
 
 // TestConcurrentIngestWithAutoSnapshots hammers a durable engine from

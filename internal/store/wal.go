@@ -7,30 +7,36 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 
 	"iokast/internal/token"
 )
 
 // Record types. A record is one engine mutation in the canonical trace
 // representation (token.String text form), so logs are self-contained and
-// survive changes to internal caches.
+// survive changes to internal caches. The store writes only insert and
+// remove records. Add and batch records, which earlier versions wrote for
+// consecutive ids, are still read, as the insert they stand for
+// (testdata/legacy-crash holds both).
 const (
-	recAdd    byte = 1 // one string inserted: uvarint id, string
+	recAdd    byte = 1 // read only: uvarint id, string
 	recRemove byte = 2 // tombstone: uvarint id
-	recBatch  byte = 3 // batch insert: uvarint firstID, uvarint n, n strings
+	recBatch  byte = 3 // read only: uvarint firstID, uvarint n, n strings
+	recInsert byte = 4 // uvarint n, n uvarint id gaps, n strings
 )
 
-// record is one decoded WAL entry.
+// record is one decoded WAL entry: an insert (recAdd and recBatch decode
+// to one) or a remove.
 type record struct {
-	typ     byte
-	id      int            // add: id; remove: id; batch: first id
-	strings []token.String // add: 1 entry; batch: n entries
+	typ     byte           // recInsert or recRemove
+	ids     []int          // insert: increasing, one per string; remove: the one id
+	strings []token.String // insert only
 }
 
 // ops returns how many engine mutations the record represents, which is
 // what sequence numbers count.
 func (r record) ops() uint64 {
-	if r.typ == recBatch {
+	if r.typ == recInsert {
 		return uint64(len(r.strings))
 	}
 	return 1
@@ -58,23 +64,29 @@ func appendString(buf *bytes.Buffer, x token.String) {
 }
 
 // encodeRecord frames a record: u32 payload length, u32 CRC-32C of the
-// payload, payload. The frame is appended to buf.
+// payload, payload. The frame is appended to buf. An insert stores its ids
+// as gaps: the first id, then each id minus the one before it.
 func encodeRecord(buf *bytes.Buffer, r record) {
 	var scratch [binary.MaxVarintLen64]byte
 	var payload bytes.Buffer
-	payload.WriteByte(r.typ)
-	n := binary.PutUvarint(scratch[:], uint64(r.id))
-	payload.Write(scratch[:n])
-	switch r.typ {
-	case recAdd:
-		appendString(&payload, r.strings[0])
-	case recBatch:
-		n = binary.PutUvarint(scratch[:], uint64(len(r.strings)))
+	putUvarint := func(v int) {
+		n := binary.PutUvarint(scratch[:], uint64(v))
 		payload.Write(scratch[:n])
+	}
+	payload.WriteByte(r.typ)
+	switch r.typ {
+	case recInsert:
+		putUvarint(len(r.ids))
+		prev := 0
+		for _, id := range r.ids {
+			putUvarint(id - prev)
+			prev = id
+		}
 		for _, x := range r.strings {
 			appendString(&payload, x)
 		}
 	case recRemove:
+		putUvarint(r.ids[0])
 	default:
 		panic(fmt.Sprintf("store: encode unknown record type %d", r.typ))
 	}
@@ -112,57 +124,75 @@ func readRecord(r io.Reader) (record, error) {
 
 func decodePayload(payload []byte) (record, error) {
 	br := bytes.NewReader(payload)
+	bad := func(what string) (record, error) {
+		return record{}, fmt.Errorf("%w: %s", errTornRecord, what)
+	}
+	// uvarint reads a uvarint that must fit an int.
+	uvarint := func() (int, bool) {
+		v, err := binary.ReadUvarint(br)
+		return int(v), err == nil && v <= math.MaxInt
+	}
 	typ, err := br.ReadByte()
 	if err != nil {
-		return record{}, fmt.Errorf("%w: empty payload", errTornRecord)
+		return bad("empty payload")
 	}
-	rec := record{typ: typ}
-	id, err := binary.ReadUvarint(br)
-	if err != nil {
-		return record{}, fmt.Errorf("%w: bad id", errTornRecord)
-	}
-	rec.id = int(id)
-	readString := func() (token.String, error) {
-		textLen, err := binary.ReadUvarint(br)
-		if err != nil || textLen > maxRecordLen {
-			return nil, fmt.Errorf("%w: bad string length", errTornRecord)
-		}
-		text := make([]byte, textLen)
-		if _, err := io.ReadFull(br, text); err != nil {
-			return nil, fmt.Errorf("%w: short string", errTornRecord)
-		}
-		x, err := token.Parse(string(text))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errTornRecord, err)
-		}
-		return x, nil
-	}
+	// Every counted string takes at least one more payload byte, so the
+	// remaining payload bounds a count and the allocations it sizes.
+	rec := record{typ: recInsert}
 	switch typ {
-	case recAdd:
-		x, err := readString()
-		if err != nil {
-			return record{}, err
+	case recRemove, recAdd:
+		id, ok := uvarint()
+		if !ok {
+			return bad("bad id")
 		}
-		rec.strings = []token.String{x}
+		rec.ids = []int{id}
+		if typ == recRemove {
+			rec.typ = recRemove
+		}
 	case recBatch:
-		count, err := binary.ReadUvarint(br)
-		if err != nil || count == 0 || count > maxRecordLen/2 {
-			return record{}, fmt.Errorf("%w: bad batch count", errTornRecord)
+		first, ok := uvarint()
+		n, okN := uvarint()
+		if !ok || !okN || n == 0 || n > br.Len() || first > math.MaxInt-n {
+			return bad("bad batch header")
 		}
-		rec.strings = make([]token.String, 0, min(int(count), 1<<16))
-		for i := uint64(0); i < count; i++ {
-			x, err := readString()
-			if err != nil {
-				return record{}, err
+		rec.ids = make([]int, n)
+		for t := range rec.ids {
+			rec.ids[t] = first + t
+		}
+	case recInsert:
+		n, ok := uvarint()
+		if !ok || n == 0 || n > br.Len() {
+			return bad("bad count")
+		}
+		rec.ids = make([]int, n)
+		prev := 0
+		for t := range rec.ids {
+			gap, ok := uvarint()
+			if !ok || (t > 0 && gap == 0) || gap > math.MaxInt-prev {
+				return bad("ids not increasing")
 			}
-			rec.strings = append(rec.strings, x)
+			prev += gap
+			rec.ids[t] = prev
 		}
-	case recRemove:
 	default:
-		return record{}, fmt.Errorf("%w: unknown type %d", errTornRecord, typ)
+		return bad(fmt.Sprintf("unknown type %d", typ))
+	}
+	if rec.typ == recInsert {
+		rec.strings = make([]token.String, len(rec.ids))
+		for t := range rec.strings {
+			textLen, err := binary.ReadUvarint(br)
+			if err != nil || textLen > uint64(br.Len()) {
+				return bad("bad string length")
+			}
+			text := make([]byte, textLen)
+			_, _ = io.ReadFull(br, text) // cannot fail: textLen <= br.Len()
+			if rec.strings[t], err = token.Parse(string(text)); err != nil {
+				return bad(err.Error())
+			}
+		}
 	}
 	if br.Len() != 0 {
-		return record{}, fmt.Errorf("%w: %d trailing bytes", errTornRecord, br.Len())
+		return bad(fmt.Sprintf("%d trailing bytes", br.Len()))
 	}
 	return rec, nil
 }

@@ -59,7 +59,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // CalleeName resolves a call's callee to its qualified name:
 // "time.Now" for package functions, "(*os.File).Sync" for methods,
-// "(iokast/internal/engine.Log).LogAddBatch" for interface methods.
+// "(iokast/internal/engine.Log).LogInsert" for interface methods.
 // Returns "" when the callee is not a named function (builtin, func
 // value, conversion).
 func (p *Pass) CalleeName(call *ast.CallExpr) string {

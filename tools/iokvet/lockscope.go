@@ -42,28 +42,27 @@ var lockMethods = map[string]int{
 
 // blockingCalls maps qualified names to what makes them blocking.
 var blockingCalls = map[string]string{
-	"(*os.File).Sync":                          "fsync",
-	"time.Sleep":                               "sleep",
-	"net.Dial":                                 "network dial",
-	"net.DialTimeout":                          "network dial",
-	"net.Listen":                               "network listen",
-	"net/http.Get":                             "HTTP round-trip",
-	"net/http.Post":                            "HTTP round-trip",
-	"net/http.PostForm":                        "HTTP round-trip",
-	"net/http.Head":                            "HTTP round-trip",
-	"(*net/http.Client).Do":                    "HTTP round-trip",
-	"(*net/http.Client).Get":                   "HTTP round-trip",
-	"(*net/http.Client).Post":                  "HTTP round-trip",
-	"(*net/http.Client).PostForm":              "HTTP round-trip",
-	"(*net/http.Client).Head":                  "HTTP round-trip",
-	"(*os/exec.Cmd).Run":                       "subprocess",
-	"(*os/exec.Cmd).Output":                    "subprocess",
-	"(*os/exec.Cmd).CombinedOutput":            "subprocess",
-	"(*os/exec.Cmd).Wait":                      "subprocess",
-	"iokast/internal/store.AtomicWriteFile":    "fsync (atomic file commit)",
-	"(iokast/internal/engine.Log).LogAdd":      "WAL append + fsync",
-	"(iokast/internal/engine.Log).LogAddBatch": "WAL append + fsync",
-	"(iokast/internal/engine.Log).LogRemove":   "WAL append + fsync",
+	"(*os.File).Sync":                        "fsync",
+	"time.Sleep":                             "sleep",
+	"net.Dial":                               "network dial",
+	"net.DialTimeout":                        "network dial",
+	"net.Listen":                             "network listen",
+	"net/http.Get":                           "HTTP round-trip",
+	"net/http.Post":                          "HTTP round-trip",
+	"net/http.PostForm":                      "HTTP round-trip",
+	"net/http.Head":                          "HTTP round-trip",
+	"(*net/http.Client).Do":                  "HTTP round-trip",
+	"(*net/http.Client).Get":                 "HTTP round-trip",
+	"(*net/http.Client).Post":                "HTTP round-trip",
+	"(*net/http.Client).PostForm":            "HTTP round-trip",
+	"(*net/http.Client).Head":                "HTTP round-trip",
+	"(*os/exec.Cmd).Run":                     "subprocess",
+	"(*os/exec.Cmd).Output":                  "subprocess",
+	"(*os/exec.Cmd).CombinedOutput":          "subprocess",
+	"(*os/exec.Cmd).Wait":                    "subprocess",
+	"iokast/internal/store.AtomicWriteFile":  "fsync (atomic file commit)",
+	"(iokast/internal/engine.Log).LogInsert": "WAL append + fsync",
+	"(iokast/internal/engine.Log).LogRemove": "WAL append + fsync",
 }
 
 func runLockScope(pass *Pass) error {

@@ -7,7 +7,7 @@ import "sync"
 
 // Log is the engine's mutation log (the real one is the store's WAL).
 type Log interface {
-	LogAddBatch(firstID int, xs []string) error
+	LogInsert(ids []int, xs []string) error
 }
 
 // Engine holds the corpus lock and the mutation log.
@@ -21,7 +21,7 @@ type Engine struct {
 func (e *Engine) AddUnmarked(xs []string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.log.LogAddBatch(0, xs) // want `LogAddBatch \(WAL append \+ fsync\) while e\.mu held`
+	return e.log.LogInsert(nil, xs) // want `LogInsert \(WAL append \+ fsync\) while e\.mu held`
 }
 
 // AddDurable is the same call carrying the durability-point directive:
@@ -30,12 +30,12 @@ func (e *Engine) AddDurable(xs []string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	//iokvet:allow lockscope(durability point: the add is acknowledged only after the WAL fsync)
-	return e.log.LogAddBatch(0, xs)
+	return e.log.LogInsert(nil, xs)
 }
 
 // AddOutsideLock appends before taking the lock: clean.
 func (e *Engine) AddOutsideLock(xs []string) error {
-	if err := e.log.LogAddBatch(0, xs); err != nil {
+	if err := e.log.LogInsert(nil, xs); err != nil {
 		return err
 	}
 	e.mu.Lock()
