@@ -133,13 +133,7 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-func newSingleServer(t *testing.T) *serve.Server {
-	t.Helper()
-	eng := engine.New(engine.Options{Kernel: &core.Kast{CutWeight: 2}, Workers: 2})
-	return serve.New(eng, nil, nil, core.Options{})
-}
-
-func newShardedServer(t *testing.T, shards int) *serve.Server {
+func newServer(t *testing.T, shards int) *serve.Server {
 	t.Helper()
 	sh, err := shard.New(shard.Options{
 		Shards: shards,
@@ -154,7 +148,7 @@ func newShardedServer(t *testing.T, shards int) *serve.Server {
 }
 
 // TestLoadSmoke drives the full mixed profile against an in-process
-// iokserve — the exact shipped handler, single-engine and 4-shard — for
+// iokserve — the exact shipped handler, at 1 and 4 shards — for
 // 2 seconds and holds the run to the CI contract: exit 0, zero 5xx and
 // transport errors, every op exercised, every SLO gate evaluated, and a
 // JSON report that round-trips.
@@ -166,8 +160,8 @@ func TestLoadSmoke(t *testing.T) {
 		name   string
 		server *serve.Server
 	}{
-		{"single", newSingleServer(t)},
-		{"sharded4", newShardedServer(t, 4)},
+		{"single", newServer(t, 1)},
+		{"sharded4", newServer(t, 4)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := httptest.NewServer(tc.server)
@@ -244,7 +238,7 @@ func TestLoadSmokeGateFailure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timed run")
 	}
-	srv := httptest.NewServer(newSingleServer(t))
+	srv := httptest.NewServer(newServer(t, 1))
 	defer srv.Close()
 	code, _, errOut := runLoad(
 		"-target", srv.URL,
@@ -280,7 +274,7 @@ func TestReplaySmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(newSingleServer(t))
+	srv := httptest.NewServer(newServer(t, 1))
 	defer srv.Close()
 	jsonPath := filepath.Join(t.TempDir(), "report.json")
 	code, out, errOut := runLoad(

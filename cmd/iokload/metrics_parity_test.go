@@ -21,31 +21,20 @@ import (
 
 // newObsServer builds a fully instrumented durable server the way
 // cmd/iokserve wires one: every layer reporting into the one registry,
-// telemetry middleware on top. shards == 1 is the single-engine path.
+// telemetry middleware on top.
 func newObsServer(t *testing.T, reg *obs.Registry, shards int) *serve.Server {
 	t.Helper()
-	var s *serve.Server
-	if shards == 1 {
-		sopt := store.Options{SnapshotEvery: -1, NoSync: true, Metrics: store.NewMetrics(reg, nil)}
-		eopt := engine.Options{Kernel: &core.Kast{CutWeight: 2}, Workers: 2, Metrics: engine.NewMetrics(reg, nil)}
-		eng, st, err := store.Open(t.TempDir(), func() *engine.Engine { return engine.New(eopt) }, sopt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s = serve.New(eng, st, nil, core.Options{})
-	} else {
-		sh, err := shard.Open(t.TempDir(), shard.Options{
-			Shards: shards,
-			Seed:   7,
-			Engine: engine.Options{Kernel: &core.Kast{CutWeight: 2}, Workers: 2},
-			Store:  store.Options{SnapshotEvery: -1, NoSync: true},
-			Obs:    reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s = serve.NewSharded(sh, nil, core.Options{})
+	sh, err := shard.Open(t.TempDir(), shard.Options{
+		Shards: shards,
+		Seed:   7,
+		Engine: engine.Options{Kernel: &core.Kast{CutWeight: 2}, Workers: 2},
+		Store:  store.Options{SnapshotEvery: -1, NoSync: true},
+		Obs:    reg,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	s := serve.NewSharded(sh, nil, core.Options{})
 	s.ConfigureStream(stream.Config{Metrics: stream.NewMetrics(reg)})
 	s.ConfigureTelemetry(serve.Telemetry{Registry: reg})
 	return s
@@ -53,9 +42,9 @@ func newObsServer(t *testing.T, reg *obs.Registry, shards int) *serve.Server {
 
 // TestMetricsParity is the server-side ground-truth check: a -scrape-
 // metrics load run's request-counter deltas must equal the client's own
-// per-endpoint attempt counts, in single-engine and 4-shard modes, and
-// the full exposition must parse with every layer's families present
-// (labelled per shard in sharded mode).
+// per-endpoint attempt counts, at 1 and 4 shards, and the full
+// exposition must parse with every layer's families present, labelled
+// per shard at every shard count.
 func TestMetricsParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timed run per topology")
@@ -133,22 +122,15 @@ func TestMetricsParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			var want []string
-			if tc.shards == 1 {
-				want = []string{
-					"iok_engine_adds_total",
-					"iok_sketch_searches_total",
-					"iok_store_wal_appends_total",
-					"iok_store_fsync_seconds_count",
-				}
-			} else {
-				for i := 0; i < tc.shards; i++ {
-					want = append(want,
-						fmt.Sprintf(`iok_shard_traces{shard="%d"}`, i),
-						fmt.Sprintf(`iok_engine_adds_total{shard="%d"}`, i),
-						fmt.Sprintf(`iok_store_wal_appends_total{shard="%d"}`, i),
-						fmt.Sprintf(`iok_shard_fanout_seconds_count{shard="%d"}`, i),
-					)
-				}
+			for i := 0; i < tc.shards; i++ {
+				want = append(want,
+					fmt.Sprintf(`iok_shard_traces{shard="%d"}`, i),
+					fmt.Sprintf(`iok_engine_adds_total{shard="%d"}`, i),
+					fmt.Sprintf(`iok_sketch_searches_total{shard="%d"}`, i),
+					fmt.Sprintf(`iok_store_wal_appends_total{shard="%d"}`, i),
+					fmt.Sprintf(`iok_store_fsync_seconds_count{shard="%d"}`, i),
+					fmt.Sprintf(`iok_shard_fanout_seconds_count{shard="%d"}`, i),
+				)
 			}
 			want = append(want,
 				"iok_stream_sessions_total",

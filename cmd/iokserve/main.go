@@ -4,7 +4,7 @@
 // self-similarity); top-k neighbour queries and the similarity matrix
 // evaluate pairwise kernel values on demand.
 //
-// With --data-dir the engine is durable: every accepted mutation is
+// With --data-dir the corpus is durable: every accepted mutation is
 // appended to a CRC-checked write-ahead log before it is acknowledged, and
 // snapshots bound replay time. A killed server restarts into a
 // bit-identical corpus without clients re-sending anything.
@@ -17,16 +17,17 @@
 // corpus at all (query-by-trace). Full-rerank queries stay bit-identical
 // to the exact path whatever the ANN settings.
 //
-// With --shards=N (N > 1) the corpus is sharded: N independent
-// engine+store pairs behind one id space, each trace routed to exactly one
-// shard by a seeded hash of its id, similarity queries fanned out to every
-// shard in parallel and merged exactly — results stay bit-identical to the
-// single-engine answers, /gram included. Lock contention drops by the
-// shard count and a query's kernel work runs on every shard in parallel.
-// --shards=1 (the default) runs the classic single
-// engine and stays byte-compatible with existing --data-dir layouts; a
-// sharded data dir carries a MANIFEST pinning shard count, routing seed,
-// and kernel/sketch config, and refuses to open under different flags.
+// The corpus is always internal/shard's supervisor over --shards=N
+// independent engine+store pairs (N = 1 by default) behind one id space:
+// each trace routed to exactly one shard by a seeded hash of its id,
+// similarity queries fanned out to every shard in parallel and merged
+// exactly, so answers are bit-identical at every shard count, /gram
+// included. A data dir carries a MANIFEST pinning shard count, routing
+// seed, and kernel/sketch config, and refuses to open under different
+// flags; each shard's WAL and snapshots live in its own shard-NNN/
+// subdirectory. A single-engine data dir from an earlier version (WAL and
+// snapshots at its root) is refused; at --shards=1 the refusal names the
+// one-line move that turns it into shard 0.
 //
 // Usage:
 //
@@ -68,11 +69,13 @@
 //	GET    /gram             raw kernel matrix ({"ids": [...], "matrix": [[...]]}),
 //	                         evaluated on demand; 413 above 1024 live traces
 //	GET    /gram?normalized=1  paper-pipeline similarity (Eq. 12 / cosine + PSD repair)
-//	GET    /healthz          liveness probe; "degraded" if persistence fails
+//	GET    /healthz          liveness probe with the shard count; "degraded"
+//	                         if persistence fails
 //	GET    /metrics          Prometheus text exposition: every layer (HTTP,
 //	                         engine, sketch index, store, shards, streaming)
 //	                         reports into one registry
-//	GET    /debug/store      WAL/snapshot statistics (404 without --data-dir)
+//	GET    /debug/store      {"shards": [...]}: WAL/snapshot statistics per
+//	                         shard (404 without --data-dir)
 //
 // Observability: every request carries an X-Request-Id (client-supplied or
 // generated) that tags its structured log lines; requests slower than
@@ -138,7 +141,7 @@ func main() {
 	sketchSeed := flag.Uint64("sketch-seed", 0, "seed for the sketch hashes (must match across restarts sharing a data dir to reuse persisted sketches)")
 	annBands := flag.Int("ann-bands", sketch.DefaultBands, "LSH bands for approximate-similarity candidate generation (0 = exact flat scan over all sketches)")
 	annRows := flag.Int("ann-rows", sketch.DefaultRows, "hyperplanes per LSH band (higher = fewer, more precise candidates)")
-	shards := flag.Int("shards", 1, "number of corpus shards (1 = classic single engine, byte-compatible with existing data dirs)")
+	shards := flag.Int("shards", 1, "number of corpus shards (pinned by a data dir's MANIFEST)")
 	shardSeed := flag.Uint64("shard-seed", 0, "seed for the id-routing hash (pinned by a sharded data dir's MANIFEST)")
 	labelsPath := flag.String("labels", "", "labels file for /classify (default <data-dir>/LABELS when -data-dir is set; in-memory otherwise)")
 	streamWindow := flag.Int("stream-window", stream.DefaultWindow, "streaming ingest: classification window in operations")
@@ -183,9 +186,9 @@ func main() {
 	sopt := store.Options{SnapshotEvery: *snapshotEvery, NoSync: *noSync}
 
 	// The label registry rides beside the corpus: an explicit -labels file,
-	// or <data-dir>/LABELS (next to the WAL, or the MANIFEST in sharded
-	// mode), or purely in-memory when neither is given. Registry commits are
-	// atomic temp+rename writes, so a kill preserves the last full table.
+	// or <data-dir>/LABELS (next to the MANIFEST), or purely in-memory when
+	// neither is given. Registry commits are atomic temp+rename writes, so a
+	// kill preserves the last full table.
 	reg := classify.NewRegistry()
 	regPath := *labelsPath
 	if regPath == "" && *dataDir != "" {
@@ -205,50 +208,25 @@ func main() {
 		}
 	}
 
+	// Obs hands the shard layer the registry so it can label each shard's
+	// engine/store/fan-out series with shard="N" itself.
+	shopt := shard.Options{Shards: *shards, Seed: *shardSeed, Engine: eopt, Store: sopt, Obs: obsReg}
 	var (
-		srv        *serve.Server
-		checkpoint func() error // non-nil when shutdown must close a store
+		sh         *shard.Sharded
+		checkpoint func() error // non-nil when shutdown must close the stores
 	)
-	if *shards > 1 {
-		// Obs hands the shard layer the registry so it can label each
-		// shard's engine/store/fan-out series with shard="N" itself.
-		shopt := shard.Options{Shards: *shards, Seed: *shardSeed, Engine: eopt, Store: sopt, Obs: obsReg}
-		var sh *shard.Sharded
-		if *dataDir != "" {
-			sh, err = shard.Open(*dataDir, shopt)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "iokserve: open %s: %v\n", *dataDir, err)
-				os.Exit(1)
-			}
-			log.Printf("iokserve: recovered %d traces across %d shards from %s", sh.Len(), sh.Shards(), *dataDir)
-			checkpoint = sh.Close
-		} else {
-			if sh, err = shard.New(shopt); err != nil {
-				fmt.Fprintf(os.Stderr, "iokserve: %v\n", err)
-				os.Exit(1)
-			}
+	if *dataDir != "" {
+		if sh, err = shard.Open(*dataDir, shopt); err != nil {
+			fmt.Fprintf(os.Stderr, "iokserve: open %s: %v\n", *dataDir, err)
+			os.Exit(1)
 		}
-		srv = serve.NewSharded(sh, reg, core.Options{IgnoreBytes: *noBytes})
-	} else {
-		eopt.Metrics = engine.NewMetrics(obsReg, nil)
-		sopt.Metrics = store.NewMetrics(obsReg, nil)
-		var (
-			eng *engine.Engine
-			st  *store.Store
-		)
-		if *dataDir != "" {
-			eng, st, err = store.Open(*dataDir, func() *engine.Engine { return engine.New(eopt) }, sopt)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "iokserve: open %s: %v\n", *dataDir, err)
-				os.Exit(1)
-			}
-			log.Printf("iokserve: recovered %d traces (seq %d) from %s", eng.Len(), eng.Seq(), *dataDir)
-			checkpoint = st.Close
-		} else {
-			eng = engine.New(eopt)
-		}
-		srv = serve.New(eng, st, reg, core.Options{IgnoreBytes: *noBytes})
+		log.Printf("iokserve: recovered %d traces across %d shards from %s", sh.Len(), sh.Shards(), *dataDir)
+		checkpoint = sh.Close
+	} else if sh, err = shard.New(shopt); err != nil {
+		fmt.Fprintf(os.Stderr, "iokserve: %v\n", err)
+		os.Exit(1)
 	}
+	srv := serve.NewSharded(sh, reg, core.Options{IgnoreBytes: *noBytes})
 
 	srv.ConfigureStream(stream.Config{
 		Window: *streamWindow, Stride: *streamStride, MaxSessions: *maxSessions,

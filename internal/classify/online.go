@@ -8,9 +8,10 @@ import (
 )
 
 // Corpus is the similarity surface the online classifier needs: query-by-
-// trace against a live corpus. Both the single engine.Engine and the
-// multi-shard shard.Sharded satisfy it, which is what makes classification
-// serve identically (bit for bit, with an exact rerank) at any shard count.
+// trace against a live corpus. The server's corpus, shard.Sharded,
+// satisfies it at every shard count; so does a bare engine.Engine, for
+// library callers that hold one. Both answer bit for bit alike with an
+// exact rerank, so classification does not depend on the shard count.
 type Corpus interface {
 	SimilarTrace(x token.String, k, rerank int) ([]engine.Neighbor, error)
 }

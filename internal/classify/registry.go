@@ -15,10 +15,11 @@ import (
 )
 
 // The labels file pins the id -> label assignments of a corpus. It sits
-// beside the corpus data (next to the WAL of a single engine, next to the
-// MANIFEST of a sharded directory) and is committed with the same
-// discipline as the shard MANIFEST: CRC-framed, written whole via an atomic
-// temp+rename (store.AtomicWriteFile), so a crash at any point leaves
+// beside the corpus data (next to the MANIFEST of a server data dir, at
+// every shard count; a library caller may keep it beside one engine's WAL)
+// and is committed with the same discipline as the shard MANIFEST:
+// CRC-framed, written whole via an atomic temp+rename
+// (store.AtomicWriteFile), so a crash at any point leaves
 // either the previous complete table or the new one — never a torn file.
 // Label mutations are rare next to queries, so rewriting the whole table
 // per mutation batch costs little and keeps recovery trivial: read one

@@ -5,15 +5,16 @@
 // code the binary ships.
 //
 // The handler is stateless: every endpoint is a thin translation layer
-// over a corpus (engine.Engine via New, or shard.Sharded via NewSharded),
-// an optional store for durability statistics, and an optional
-// classify.Registry for labels and classification. Ingest endpoints (POST /traces, POST /traces/batch,
-// DELETE /traces/{id}) return only after the mutation is durable when a
-// data directory is configured. Query endpoints (GET/POST /similar,
-// POST /classify) expose the exact and approximate similarity paths,
-// including the rerank dial that trades kernel evaluations for recall —
-// rerank >= corpus size is bit-identical to the exact answer at any
-// shard count.
+// over one corpus type, shard.Sharded, at any shard count (NewSharded; New
+// adopts one existing engine and its optional store as a one-shard corpus),
+// and an optional classify.Registry for labels and classification. Ingest
+// endpoints (POST /traces, POST /traces/batch, DELETE /traces/{id}) return
+// success only after the mutation is durable when a data directory is
+// configured; one that did not reach the WAL answers 500. Query endpoints
+// (GET/POST /similar, POST /classify) expose the exact and approximate
+// similarity paths, including the rerank dial that trades kernel
+// evaluations for recall — rerank >= corpus size is bit-identical to the
+// exact answer at any shard count.
 //
 // See docs/ARCHITECTURE.md for the endpoint-to-package data flow and the
 // README for the HTTP API reference.

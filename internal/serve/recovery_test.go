@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -11,6 +13,7 @@ import (
 	"iokast/internal/core"
 	"iokast/internal/engine"
 	"iokast/internal/store"
+	"iokast/internal/token"
 )
 
 // durableServer opens a server over dir with automatic snapshots disabled,
@@ -108,7 +111,9 @@ func TestServeCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestServeDebugStore covers GET /debug/store with and without a store.
+// TestServeDebugStore covers GET /debug/store with and without a store: an
+// adopted engine is shard 0 of a one-shard corpus, so its store's stats
+// are the one entry of the shards list.
 func TestServeDebugStore(t *testing.T) {
 	noStore := testServer()
 	doJSON(t, noStore, http.MethodGet, "/debug/store", "", http.StatusNotFound)
@@ -117,7 +122,11 @@ func TestServeDebugStore(t *testing.T) {
 	s, st := durableServer(t, dir)
 	defer st.Close()
 	doJSON(t, s, http.MethodPost, "/traces", traceA, http.StatusCreated)
-	resp := doJSON(t, s, http.MethodGet, "/debug/store", "", http.StatusOK)
+	shards := doJSON(t, s, http.MethodGet, "/debug/store", "", http.StatusOK)["shards"].([]any)
+	if len(shards) != 1 {
+		t.Fatalf("debug/store shards = %v", shards)
+	}
+	resp := shards[0].(map[string]any)
 	if resp["dir"] != dir {
 		t.Fatalf("stats dir = %v", resp["dir"])
 	}
@@ -141,4 +150,31 @@ func TestServeBatchTooLarge(t *testing.T) {
 	if w.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", w.Code)
 	}
+}
+
+// removeFailLog is a mutation log whose inserts are written and whose
+// removes fail, as on a disk that goes away between the two.
+type removeFailLog struct{}
+
+func (removeFailLog) LogInsert([]int, []token.String) error { return nil }
+func (removeFailLog) LogRemove(int) error                   { return errors.New("disk gone") }
+
+// TestServeDeleteNotDurable: a DELETE whose tombstone never reached the log
+// is not acknowledged, because a restart would bring the trace back. The
+// instance then reports itself degraded, and every later write is refused
+// like any write after a persistence failure.
+func TestServeDeleteNotDurable(t *testing.T) {
+	eng := engine.New(engine.Options{Kernel: &core.Kast{CutWeight: 2}, Workers: 2, Log: removeFailLog{}})
+	s := New(eng, nil, nil, core.Options{})
+	doJSON(t, s, http.MethodPost, "/traces", traceA, http.StatusCreated)
+	resp := doJSON(t, s, http.MethodDelete, "/traces/0", "", http.StatusInternalServerError)
+	if msg := resp["error"].(string); !strings.Contains(msg, "disk gone") {
+		t.Fatalf("DELETE error does not name the log failure: %q", msg)
+	}
+	resp = doJSON(t, s, http.MethodGet, "/healthz", "", http.StatusServiceUnavailable)
+	if resp["status"] != "degraded" || fmt.Sprint(resp["degraded_shards"]) != "[0]" {
+		t.Fatalf("healthz after a failed tombstone = %v", resp)
+	}
+	doJSON(t, s, http.MethodPost, "/traces", traceB, http.StatusInternalServerError)
+	doJSON(t, s, http.MethodPost, "/traces/batch", batchBody(traceA, traceB), http.StatusInternalServerError)
 }

@@ -35,33 +35,11 @@ const maxBatchTraces = 4096
 // matrix costs n(n+1)/2 kernel evaluations and n^2 floats of response.
 const maxGramTraces = 1024
 
-// corpus is the query/mutation surface the handlers need; both the single
-// engine.Engine and the multi-shard shard.Sharded satisfy it, so every
-// endpoint works identically in either mode.
-type corpus interface {
-	Add(x token.String) int
-	AddBatch(xs []token.String) ([]int, error)
-	Remove(id int) error
-	Similar(id, k int) ([]engine.Neighbor, error)
-	SimilarApprox(id, k, rerank int) ([]engine.Neighbor, error)
-	SimilarTrace(x token.String, k, rerank int) ([]engine.Neighbor, error)
-	Has(id int) bool
-	Strings() ([]token.String, []int)
-	Len() int
-	InternerSize() int
-	Err() error
-	Kernel() kernel.Kernel
-	SketchConfig() (dim int, seed uint64, enabled bool)
-	ANNConfig() (bands, rows int, enabled bool)
-}
-
 // Server routes HTTP requests onto one shared corpus. Concurrency control
 // lives entirely in the corpus and the label registry; handlers hold no
 // state of their own.
 type Server struct {
-	c    corpus
-	st   *store.Store   // single-engine mode: nil without --data-dir
-	sh   *shard.Sharded // sharded mode only
+	c    *shard.Sharded
 	cls  *classify.Online
 	copt core.Options
 	mux  *http.ServeMux
@@ -77,28 +55,22 @@ type Server struct {
 	streams *stream.Registry
 }
 
-// New serves a single-engine corpus; st may be nil for an in-memory
-// server (no /debug/store).
+// New serves one existing engine as a one-shard corpus (shard.Adopt); st
+// may be nil for an in-memory server (no /debug/store).
 func New(eng *engine.Engine, st *store.Store, reg *classify.Registry, copt core.Options) *Server {
-	s := &Server{c: eng, st: st, copt: copt}
-	s.finish(reg)
-	return s
+	return NewSharded(shard.Adopt(eng, st), reg, copt)
 }
 
-// NewSharded serves a multi-shard corpus.
+// NewSharded serves a corpus of any shard count.
 func NewSharded(sh *shard.Sharded, reg *classify.Registry, copt core.Options) *Server {
-	s := &Server{c: sh, sh: sh, copt: copt}
-	s.finish(reg)
-	return s
-}
-
-func (s *Server) finish(reg *classify.Registry) {
 	if reg == nil {
 		reg = classify.NewRegistry()
 	}
-	s.cls = classify.NewOnline(s.c, reg)
+	s := &Server{c: sh, copt: copt}
+	s.cls = classify.NewOnline(sh, reg)
 	s.streams = stream.NewRegistry(stream.Config{Classifier: s.cls, Convert: s.copt})
 	s.routes()
+	return s
 }
 
 func (s *Server) routes() {
@@ -261,6 +233,13 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := s.c.Remove(id); err != nil {
 		httpError(w, r, http.StatusNotFound, "%v", err)
+		return
+	}
+	if err := s.c.Err(); err != nil {
+		// Removed in memory, but the tombstone may not have reached the
+		// WAL, so a restart could bring the trace back. Its label stays,
+		// matching what that restart would recover.
+		httpError(w, r, http.StatusInternalServerError, "trace %d removed but persistence failed: %v", id, err)
 		return
 	}
 	// A removed trace can never be a neighbour again, so its label goes with
@@ -505,8 +484,8 @@ func (s *Server) handleLabelByID(w http.ResponseWriter, r *http.Request) {
 // handleClassify is the paper's application served online: the body is one
 // trace in the canonical text format, classified by similarity-weighted
 // k-NN vote against the labelled corpus — sketch shortlist plus exact
-// rerank where enabled, fanned out across shards in parallel in sharded
-// mode. The trace is never ingested.
+// rerank where enabled, fanned out across the shards in parallel. The
+// trace is never ingested.
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, r, http.StatusMethodNotAllowed, "POST /classify?k=&rerank= with a trace body")
@@ -544,7 +523,7 @@ func (s *Server) handleGram(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The matrix is evaluated on demand over the live strings in id order,
-	// so both corpus modes serve the same bits.
+	// so every shard count serves the same bits.
 	xs, ids := s.c.Strings()
 	if len(xs) > maxGramTraces {
 		httpError(w, r, http.StatusRequestEntityTooLarge,
@@ -585,22 +564,20 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		resp["ann_bands"] = bands
 		resp["ann_rows"] = rows
 	}
-	status := http.StatusOK
-	if s.sh != nil {
-		// Per-shard health: one degraded shard degrades the whole instance
-		// (a fraction of the id space is no longer durable), and the probe
-		// names the shards so operators can see which WALs are failing.
-		resp["shards"] = s.sh.Shards()
-		var down []int
-		for i, err := range s.sh.Errs() {
-			if err != nil {
-				down = append(down, i)
-			}
-		}
-		if len(down) > 0 {
-			resp["degraded_shards"] = down
+	// Per-shard health: one degraded shard degrades the whole instance (a
+	// fraction of the id space is no longer durable), and the probe names
+	// the shards so operators can see which WALs are failing.
+	resp["shards"] = s.c.Shards()
+	var down []int
+	for i, err := range s.c.Errs() {
+		if err != nil {
+			down = append(down, i)
 		}
 	}
+	if len(down) > 0 {
+		resp["degraded_shards"] = down
+	}
+	status := http.StatusOK
 	if err := s.c.Err(); err != nil {
 		// Still serving, but mutations are no longer reaching the WAL:
 		// degraded, so orchestrators can rotate the instance out.
@@ -616,17 +593,13 @@ func (s *Server) handleStoreStats(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, http.StatusMethodNotAllowed, "GET /debug/store")
 		return
 	}
-	if s.sh != nil && s.sh.Durable() {
-		// One stats object per shard: each has its own WAL, snapshot chain,
-		// and replay backlog.
-		writeJSON(w, r, http.StatusOK, map[string]any{"shards": s.sh.Stats()})
-		return
-	}
-	if s.st == nil {
+	if !s.c.Durable() {
 		httpError(w, r, http.StatusNotFound, "no store attached (run with --data-dir)")
 		return
 	}
-	writeJSON(w, r, http.StatusOK, s.st.Stats())
+	// One stats object per shard: each has its own WAL, snapshot chain, and
+	// replay backlog.
+	writeJSON(w, r, http.StatusOK, map[string]any{"shards": s.c.Stats()})
 }
 
 // writeJSON writes v as an indented JSON response. Encoding failures

@@ -11,8 +11,11 @@ import (
 
 	"iokast/internal/core"
 	"iokast/internal/engine"
+	"iokast/internal/linalg"
 	"iokast/internal/shard"
 	"iokast/internal/store"
+	"iokast/internal/token"
+	"iokast/internal/trace"
 )
 
 func kastEngineOptions() engine.Options {
@@ -205,12 +208,51 @@ func variedTrace(i int) string {
 
 // TestShardedGramMatchesSingle: /gram is evaluated on demand over the live
 // strings in global id order, so every shard count serves the single
-// engine's response byte for byte, raw and normalised, after a delete.
+// engine's response byte for byte, raw and normalised, after a delete. The
+// reference is a bare engine given the same traces and delete, its own
+// Gram and NormalizedGram written the way /gram writes a matrix.
 func TestShardedGramMatchesSingle(t *testing.T) {
 	traces := make([]string, 12)
+	xs := make([]token.String, len(traces))
 	for i := range traces {
 		traces[i] = fmt.Sprintf("%q", variedTrace(i))
+		tr, err := trace.ParseString(variedTrace(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs[i] = core.Convert(tr, core.Options{})
 	}
+	eng := engine.New(kastEngineOptions())
+	if _, err := eng.AddBatch(xs); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Remove(5); err != nil {
+		t.Fatal(err)
+	}
+	gramBody := func(m *linalg.Matrix, ids []int, extra map[string]any) string {
+		resp := map[string]any{"kernel": eng.Kernel().Name(), "ids": ids}
+		rows := make([][]float64, m.Rows)
+		for i := range rows {
+			rows[i] = m.Row(i)
+		}
+		resp["matrix"] = rows
+		for k, v := range extra {
+			resp[k] = v
+		}
+		w := httptest.NewRecorder()
+		writeJSON(w, httptest.NewRequest(http.MethodGet, "/gram", nil), http.StatusOK, resp)
+		return w.Body.String()
+	}
+	raw, rawIDs := eng.Gram()
+	norm, normIDs, clipped, err := eng.NormalizedGram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"/gram":              gramBody(raw, rawIDs, nil),
+		"/gram?normalized=1": gramBody(norm, normIDs, map[string]any{"clipped_eigenvalues": clipped}),
+	}
+
 	batch := `{"traces": [` + strings.Join(traces, ", ") + `]}`
 	servers := []*Server{testServer()}
 	for _, n := range []int{1, 2, 4, 7} {
@@ -228,11 +270,10 @@ func TestShardedGramMatchesSingle(t *testing.T) {
 		}
 		return w.Body.String()
 	}
-	for _, target := range []string{"/gram", "/gram?normalized=1"} {
-		want := get(servers[0], target)
-		for _, s := range servers[1:] {
+	for target, want := range want {
+		for _, s := range servers {
 			if got := get(s, target); got != want {
-				t.Errorf("GET %s at %d shards differs from the single engine:\n got %s\nwant %s", target, s.sh.Shards(), got, want)
+				t.Errorf("GET %s at %d shards differs from the single engine:\n got %s\nwant %s", target, s.c.Shards(), got, want)
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 // Package shard scales the engine past one write lock and one WAL: a
-// Sharded corpus splits the id space
-// across N fully independent engine+store pairs behind a single global
-// API that matches engine.Engine's.
+// Sharded corpus splits the id space across N fully independent
+// engine+store pairs behind a single global API that matches
+// engine.Engine's. It is the one corpus type iokserve serves, at every
+// shard count; one shard is the default. Adopt serves an existing engine
+// and store as a one-shard corpus.
 //
 // # Routing
 //

@@ -151,15 +151,21 @@ func decodeManifest(data []byte) (manifest, error) {
 // directory that has no manifest but does hold single-engine store files is
 // refused rather than adopted: writing a MANIFEST beside a live WAL would
 // make the existing corpus silently invisible (the shards would all open
-// empty subdirectories).
+// empty subdirectories). For one shard the refusal names the exact
+// migration: every id routes to shard 0, and shard engines hold corpus-wide
+// ids, so the root's store files are shard 0's store as they stand. LABELS
+// stays at the root in both layouts.
 func loadOrCreateManifest(path string, want manifest) error {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		dir := filepath.Dir(path)
-		if hasStoreFiles(dir) {
-			return fmt.Errorf("shard: %s holds single-engine store data with no MANIFEST; open it with iokast.OpenEngine (iokserve default -shards 1), or migrate it before sharding", dir)
+		if !hasStoreFiles(dir) {
+			return store.AtomicWriteFile(path, want.encode())
 		}
-		return store.AtomicWriteFile(path, want.encode())
+		if want.shards == 1 {
+			return fmt.Errorf("shard: %s holds single-engine store data with no MANIFEST; move it into shard 0 and open it again: mkdir %[1]s/%[2]s && mv %[1]s/wal-* %[1]s/snap-* %[1]s/%[2]s/", dir, ShardDir(0))
+		}
+		return fmt.Errorf("shard: %s holds single-engine store data with no MANIFEST; %d shards route its ids elsewhere, so ingest the corpus again into a new data directory (or open it with 1 shard after moving it into %s/)", dir, want.shards, ShardDir(0))
 	}
 	if err != nil {
 		return fmt.Errorf("shard: %w", err)

@@ -16,8 +16,13 @@
 // equals the score the single engine computes).
 //
 // What the supervisor buys: each shard has its own write lock, WAL and
-// snapshot chain (no global mutex), a query's kernel work is spread over
-// the shards in parallel, and recovery opens all shards concurrently.
+// snapshot chain, a query's kernel work is spread over the shards in
+// parallel, and recovery opens all shards concurrently. Batches across
+// several shards are still serialised by one supervisor lock
+// (Sharded.ingest), which fixes the global id order; a batch's per-shard
+// sub-batches then commit in parallel. Removes and queries take no
+// supervisor lock, and neither does a one-shard corpus's ingest, which
+// its engine orders alone.
 package shard
 
 // Route maps a global trace id to its owner shard, deterministically in

@@ -41,27 +41,27 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// Sharded is a hash-routed multi-shard corpus. Every trace lives in exactly
-// one shard, engines[Route(id)], which stores it under its corpus-wide id.
-// Mutations touch only the owner shard (sub-batches of AddBatch run in
-// parallel across shards), and similarity queries fan out to every shard
-// in parallel and merge exactly. All methods are safe for concurrent use.
+// Sharded is the corpus: one or more hash-routed shards. Every trace lives
+// in exactly one shard, engines[Route(id)], which stores it under its
+// corpus-wide id. Mutations touch only the owner shard (sub-batches of
+// AddBatch run in parallel across shards), and similarity queries fan out
+// to every shard in parallel and merge exactly. All methods are safe for
+// concurrent use.
 //
-// Mutations are serialised globally (one at a time, though a batch's
-// per-shard sub-batches and every kernel evaluation inside them run in
-// parallel). That matches the single engine, whose write lock serialises
-// mutations anyway, and it bounds what a crash can tear across shard WALs
-// to the one in-flight batch.
+// The ingest lock serialises batches across several shards: it fixes the
+// global id order and bounds what a crash can tear across shard WALs to
+// one in-flight batch. Their representations are built under it. A
+// one-shard corpus's AddBatch is its engine's, which builds them outside
+// any lock and assigns ids under its own write lock. Remove takes no
+// supervisor lock.
 type Sharded struct {
 	n    int
 	seed uint64
-	dir  string // empty for in-memory corpora
 
 	engines []*engine.Engine
 	stores  []*store.Store // nil entries when in-memory
 
-	ingest sync.Mutex // serialises Add/AddBatch/Remove, fixing the global order
-	next   int        // the next global id; guarded by ingest
+	ingest sync.Mutex // serialises multi-shard batches, fixing the global id order
 
 	fanoutSec []*obs.Histogram // per-shard fan-out latency; nil = no telemetry
 }
@@ -83,6 +83,16 @@ func Open(dir string, opt Options) (*Sharded, error) {
 		return nil, fmt.Errorf("shard: empty directory (use New for an in-memory corpus)")
 	}
 	return open(dir, opt)
+}
+
+// Adopt serves one existing engine, with its store when st is not nil, as
+// a one-shard corpus. It writes no MANIFEST and registers no telemetry; the
+// engine keeps its own log and metrics. The caller may go on writing to eng
+// directly, also concurrently with the corpus: a one-shard corpus's
+// AddBatch is the engine's, which assigns ids under the engine's write
+// lock, and NextID reads the engine.
+func Adopt(eng *engine.Engine, st *store.Store) *Sharded {
+	return &Sharded{n: 1, engines: []*engine.Engine{eng}, stores: []*store.Store{st}}
 }
 
 func open(dir string, opt Options) (*Sharded, error) {
@@ -122,7 +132,7 @@ func open(dir string, opt Options) (*Sharded, error) {
 	}
 
 	s := &Sharded{
-		n: n, seed: opt.Seed, dir: dir,
+		n: n, seed: opt.Seed,
 		engines: make([]*engine.Engine, n),
 		stores:  make([]*store.Store, n),
 	}
@@ -156,12 +166,9 @@ func open(dir string, opt Options) (*Sharded, error) {
 			}
 		}
 		if firstErr != nil {
-			s.closeStores()
+			s.Close()
 			return nil, firstErr
 		}
-	}
-	for _, e := range s.engines {
-		s.next = max(s.next, e.NextID())
 	}
 	if opt.Obs != nil {
 		s.registerMetrics(opt.Obs)
@@ -231,27 +238,32 @@ func (s *Sharded) Add(x token.String) int {
 // engine.ErrIDSpaceFull before any shard sees it. Otherwise the returned
 // error is the first per-shard persistence error; as with the single
 // engine, the in-memory insertion has still happened.
+// With one shard, every id routes to shard 0, whose engine's AddBatch
+// assigns the ids itself.
 func (s *Sharded) AddBatch(xs []token.String) ([]int, error) {
 	m := len(xs)
 	if m == 0 {
 		return nil, nil
 	}
+	if s.n == 1 {
+		return s.engines[0].AddBatch(xs)
+	}
 	s.ingest.Lock()
 	defer s.ingest.Unlock()
-	if s.next+m > matrixio.MaxSlots {
-		return nil, fmt.Errorf("%w: batch of %d at id %d", engine.ErrIDSpaceFull, m, s.next)
+	next := s.nextID()
+	if next+m > matrixio.MaxSlots {
+		return nil, fmt.Errorf("%w: batch of %d at id %d", engine.ErrIDSpaceFull, m, next)
 	}
 	ids := make([]int, m)
 	subIDs := make([][]int, s.n)
 	subs := make([][]token.String, s.n)
 	for t, x := range xs {
-		g := s.next + t
+		g := next + t
 		sh := Route(g, s.seed, s.n)
 		ids[t] = g
 		subIDs[sh] = append(subIDs[sh], g)
 		subs[sh] = append(subs[sh], x)
 	}
-	s.next += m
 
 	errs := make([]error, s.n)
 	var wg sync.WaitGroup
@@ -275,10 +287,9 @@ func (s *Sharded) AddBatch(xs []token.String) ([]int, error) {
 }
 
 // Remove deletes the entry with the given global id; the tombstone is
-// durable in the owner shard's WAL.
+// durable in the owner shard's WAL, which that shard's engine orders, so
+// Remove never waits for a batch on the ingest lock.
 func (s *Sharded) Remove(id int) error {
-	s.ingest.Lock()
-	defer s.ingest.Unlock()
 	if err := s.owner(id).Remove(id); err != nil {
 		return fmt.Errorf("shard: no entry with id %d", id)
 	}
@@ -350,25 +361,30 @@ func (s *Sharded) prepareQuery(x token.String) (*engine.TraceQuery, error) {
 // query runs SimilarTracePrepared(tq, k, rerank) on every shard in
 // parallel and merges the per-shard top-k exactly: scores are pairwise, so
 // sorting the union by (score desc, id asc) and truncating to k reproduces
-// the global top-k.
+// the global top-k. The calling goroutine queries shard 0 itself, so a
+// one-shard corpus starts no goroutine at all.
 func (s *Sharded) query(tq *engine.TraceQuery, k, rerank int) ([]engine.Neighbor, error) {
 	res := make([][]engine.Neighbor, s.n)
 	errs := make([]error, s.n)
+	run := func(sh int) {
+		var t0 time.Time
+		if s.fanoutSec != nil {
+			t0 = time.Now() //iokvet:allow nondeterm(metric timing only: t0 feeds the fan-out latency histogram and never reaches query results)
+		}
+		res[sh], errs[sh] = s.engines[sh].SimilarTracePrepared(tq, k, rerank)
+		if s.fanoutSec != nil {
+			s.fanoutSec[sh].Observe(time.Since(t0)) //iokvet:allow nondeterm(metric timing only: observed duration feeds the latency histogram and never reaches query results)
+		}
+	}
 	var wg sync.WaitGroup
-	for sh := range s.engines {
+	for sh := 1; sh < s.n; sh++ {
 		wg.Add(1)
 		go func(sh int) {
 			defer wg.Done()
-			var t0 time.Time
-			if s.fanoutSec != nil {
-				t0 = time.Now() //iokvet:allow nondeterm(metric timing only: t0 feeds the fan-out latency histogram and never reaches query results)
-			}
-			res[sh], errs[sh] = s.engines[sh].SimilarTracePrepared(tq, k, rerank)
-			if s.fanoutSec != nil {
-				s.fanoutSec[sh].Observe(time.Since(t0)) //iokvet:allow nondeterm(metric timing only: observed duration feeds the latency histogram and never reaches query results)
-			}
+			run(sh)
 		}(sh)
 	}
+	run(0)
 	wg.Wait()
 	for sh, err := range errs {
 		if err != nil {
@@ -484,7 +500,19 @@ func (s *Sharded) Len() int {
 func (s *Sharded) NextID() int {
 	s.ingest.Lock()
 	defer s.ingest.Unlock()
-	return s.next
+	return s.nextID()
+}
+
+// nextID is one past the highest id any shard engine has inserted. It is
+// read from the engines on every call, never cached, so it stays right
+// when a caller also writes to an adopted engine directly. Caller holds
+// s.ingest, so no multi-shard batch is half inserted.
+func (s *Sharded) nextID() int {
+	next := 0
+	for _, e := range s.engines {
+		next = max(next, e.NextID())
+	}
+	return next
 }
 
 // Err returns the first persistence failure of any shard, or nil. Like
@@ -589,10 +617,6 @@ func (s *Sharded) Snapshot() error {
 // corpus stays usable in memory; further mutations are not persisted. It is
 // a no-op for in-memory corpora.
 func (s *Sharded) Close() error {
-	return s.closeStores()
-}
-
-func (s *Sharded) closeStores() error {
 	errs := make([]error, s.n)
 	var wg sync.WaitGroup
 	for i, st := range s.stores {

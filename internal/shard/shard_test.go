@@ -3,10 +3,13 @@ package shard
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"iokast/internal/core"
@@ -235,6 +238,156 @@ func TestRefusesForeignLayouts(t *testing.T) {
 		return engine.New(engine.Options{Kernel: &core.Kast{CutWeight: 2}})
 	}, store.Options{}); err == nil || !strings.Contains(err.Error(), "sharded corpus") {
 		t.Fatalf("store.Open adopted a sharded dir: %v", err)
+	}
+}
+
+// TestLegacyDirMigration: a single-engine data dir (WAL and snapshots at
+// its root, no MANIFEST) is refused where it is, with the exact move for
+// one shard and a re-ingest for more. After that move, a one-shard corpus
+// recovers what store.Open recovers from the dir as it was: shard 0 holds
+// every id, under the same corpus-wide ids.
+func TestLegacyDirMigration(t *testing.T) {
+	src := filepath.Join("..", "store", "testdata", "legacy-crash")
+	copyFixture := func() string {
+		dir := t.TempDir()
+		ents, err := os.ReadDir(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			data, err := os.ReadFile(filepath.Join(src, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	eopt := engine.Options{Kernel: &core.Kast{CutWeight: 2}}
+	sopt := store.Options{SnapshotEvery: -1}
+	eng, st, err := store.Open(copyFixture(), func() *engine.Engine { return engine.New(eopt) }, sopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	wantStrings, wantIDs := eng.Strings()
+	if !slices.Equal(wantIDs, []int{0, 1, 3}) || eng.NextID() != 4 {
+		t.Fatalf("fixture holds ids %v, NextID %d; want [0 1 3], 4", wantIDs, eng.NextID())
+	}
+
+	dir := copyFixture()
+	opt := Options{Shards: 1, Engine: eopt, Store: sopt}
+	move := fmt.Sprintf("mkdir %[1]s/shard-000 && mv %[1]s/wal-* %[1]s/snap-* %[1]s/shard-000/", dir)
+	if _, err := Open(dir, opt); err == nil || !strings.Contains(err.Error(), "single-engine") || !strings.Contains(err.Error(), move) {
+		t.Fatalf("one shard over a legacy dir: got error %v, want one naming %q", err, move)
+	}
+	more := opt
+	more.Shards = 3
+	if _, err := Open(dir, more); err == nil || !strings.Contains(err.Error(), "single-engine") || !strings.Contains(err.Error(), "ingest the corpus again") {
+		t.Fatalf("three shards over a legacy dir: got error %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, manifestName)); !os.IsNotExist(err) {
+		t.Fatalf("a refused open wrote a MANIFEST: %v", err)
+	}
+
+	sub := filepath.Join(dir, ShardDir(0))
+	if err := os.Mkdir(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, pattern := range []string{"wal-*", "snap-*"} {
+		names, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if err := os.Rename(name, filepath.Join(sub, filepath.Base(name))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	gotStrings, gotIDs := s.Strings()
+	assertSameStrings(t, wantStrings, wantIDs, gotStrings, gotIDs)
+	if s.NextID() != eng.NextID() {
+		t.Fatalf("NextID %d after the move, want %d", s.NextID(), eng.NextID())
+	}
+}
+
+// TestAdoptFollowsEngineWrites: an adopted engine can also be written to
+// directly, and the corpus's batches then continue at the engine's next id
+// instead of an id the engine has already passed. That holds when the two
+// writers alternate and when they race: no batch is refused, and every id
+// either of them was given holds the string it was given for.
+func TestAdoptFollowsEngineWrites(t *testing.T) {
+	xs := corpus(t, 64, 6)
+	eng, st, err := store.Open(t.TempDir(), func() *engine.Engine {
+		return engine.New(engine.Options{Kernel: &core.Kast{CutWeight: 2}})
+	}, store.Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	s := Adopt(eng, st)
+	for lo := 0; lo < 24; lo += 4 {
+		batch := xs[lo : lo+4]
+		if lo%8 != 0 {
+			if _, err := eng.AddBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		next := eng.NextID()
+		ids, err := s.AddBatch(batch)
+		if err != nil {
+			t.Fatalf("corpus batch at engine id %d: %v", next, err)
+		}
+		if !slices.Equal(ids, []int{next, next + 1, next + 2, next + 3}) {
+			t.Fatalf("corpus batch took ids %v, want 4 from %d", ids, next)
+		}
+		if s.NextID() != eng.NextID() {
+			t.Fatalf("corpus NextID %d, engine NextID %d", s.NextID(), eng.NextID())
+		}
+	}
+
+	// The racing writers: batches of 4 through the corpus and straight into
+	// the engine at the same time, 20 traces each.
+	writers := []func([]token.String) ([]int, error){s.AddBatch, eng.AddBatch}
+	got := make([][]int, len(writers))
+	errs := make([]error, len(writers))
+	var wg sync.WaitGroup
+	for w, add := range writers {
+		wg.Add(1)
+		go func(w int, add func([]token.String) ([]int, error)) {
+			defer wg.Done()
+			for lo := 24 + 20*w; lo < 44+20*w; lo += 4 {
+				ids, err := add(xs[lo : lo+4])
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				got[w] = append(got[w], ids...)
+			}
+		}(w, add)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("racing writer %d: %v", w, err)
+		}
+		for i, id := range got[w] {
+			if x, ok := s.StringAt(id); !ok || !slices.Equal(x, xs[24+20*w+i]) {
+				t.Fatalf("racing writer %d: id %d does not hold its string", w, id)
+			}
+		}
+	}
+	if s.Len() != len(xs) || s.Err() != nil || !s.Durable() || s.Shards() != 1 {
+		t.Fatalf("Len=%d Err=%v Durable=%v Shards=%d", s.Len(), s.Err(), s.Durable(), s.Shards())
 	}
 }
 
@@ -542,23 +695,42 @@ func assertSameStrings(t *testing.T, wantStrings []token.String, wantIDs []int, 
 // TestShardedIDSpaceLimit: one id space spans the shards, so the snapshot
 // slot limit bounds the corpus as a whole. A batch that would cross it is
 // refused whole, before any shard inserts a part of it, and Add past it
-// returns -1.
+// returns -1. One shard, whose batches are its engine's own, is held to the
+// same.
 func TestShardedIDSpaceLimit(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) { testIDSpaceLimit(t, shards) })
+	}
+}
+
+func testIDSpaceLimit(t *testing.T, shards int) {
 	xs := corpus(t, 2, 1)
 	opt := kastOptions()
+	opt.Shards = shards
 	opt.Engine.SketchDim = -1
 	s, err := New(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An id inserted and removed just below the last one leaves the corpus
+	// empty with its next id at the last slot.
 	last := matrixio.MaxSlots - 1
-	s.next = last
+	if err := s.owner(last-1).Insert([]int{last - 1}, xs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Remove(last - 1); err != nil {
+		t.Fatal(err)
+	}
+	before := make([]int, len(s.engines))
+	for sh, e := range s.engines {
+		before[sh] = e.NextID()
+	}
 	if ids, err := s.AddBatch(xs); ids != nil || !errors.Is(err, engine.ErrIDSpaceFull) {
 		t.Fatalf("AddBatch across the limit = %v, %v; want nil, ErrIDSpaceFull", ids, err)
 	}
 	for sh, e := range s.engines {
-		if e.NextID() != 0 {
-			t.Fatalf("shard %d took part of a refused batch: NextID %d", sh, e.NextID())
+		if e.NextID() != before[sh] {
+			t.Fatalf("shard %d took part of a refused batch: NextID %d, was %d", sh, e.NextID(), before[sh])
 		}
 	}
 	if id := s.Add(xs[0]); id != last || !s.Has(last) {
