@@ -222,6 +222,32 @@ func BenchmarkTraceParse(b *testing.B) {
 	}
 }
 
+// BenchmarkParseConvertWorkload times the front half of every ingest and
+// trace query, ParseString plus Convert, over the request mix the load
+// generator sends (iogen.LoadCategories bodies). One op is the whole mix,
+// so a fixed -benchtime=Nx run covers every category.
+func BenchmarkParseConvertWorkload(b *testing.B) {
+	g := iogen.NewBodyGen(1, nil)
+	bodies := make([]string, 32)
+	total := 0
+	for i := range bodies {
+		bodies[i], _ = g.Next()
+		total += len(bodies[i])
+	}
+	b.SetBytes(int64(total))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, body := range bodies {
+			tr, err := trace.ParseString(body)
+			if err != nil {
+				b.Fatal(err)
+			}
+			core.Convert(tr, core.Options{})
+		}
+	}
+}
+
 // randomTokens builds a synthetic weighted string over a small alphabet.
 func randomTokens(r *xrand.Rand, n int) token.String {
 	s := make(token.String, n)

@@ -17,6 +17,7 @@ package token
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -36,7 +37,8 @@ type Token struct {
 
 // String renders the token in the canonical "literal:weight" text form.
 func (t Token) String() string {
-	return fmt.Sprintf("%s:%d", t.Literal, t.Weight)
+	var num [20]byte
+	return t.Literal + ":" + string(strconv.AppendInt(num[:0], int64(t.Weight), 10))
 }
 
 // IsStructural reports whether the token is one of the reserved tree
@@ -52,7 +54,8 @@ func (t Token) IsStructural() bool {
 // OpLiteral builds the leaf literal for an operation name and byte count,
 // e.g. "read[4096]" or "lseek+write[512]".
 func OpLiteral(name string, bytes int64) string {
-	return fmt.Sprintf("%s[%d]", name, bytes)
+	var num [20]byte
+	return name + "[" + string(strconv.AppendInt(num[:0], bytes, 10)) + "]"
 }
 
 // String is a weighted string: a sequence of weighted tokens. (The paper:
@@ -94,12 +97,20 @@ func (s String) Literals() []string {
 // Format renders the string in the canonical text form: tokens separated by
 // single spaces.
 func (s String) Format() string {
+	n := 0
+	for _, t := range s {
+		n += len(t.Literal) + 6 // ':', a weight of up to four digits, ' '
+	}
 	var b strings.Builder
+	b.Grow(n)
+	var num [20]byte
 	for i, t := range s {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		b.WriteString(t.String())
+		b.WriteString(t.Literal)
+		b.WriteByte(':')
+		b.Write(strconv.AppendInt(num[:0], int64(t.Weight), 10))
 	}
 	return b.String()
 }
@@ -152,8 +163,8 @@ func Parse(text string) (String, error) {
 		if colon <= 0 || colon == len(f)-1 {
 			return nil, fmt.Errorf("token %d: %q is not literal:weight", i, f)
 		}
-		var w int
-		if _, err := fmt.Sscanf(f[colon+1:], "%d", &w); err != nil {
+		w, err := strconv.Atoi(f[colon+1:])
+		if err != nil {
 			return nil, fmt.Errorf("token %d: bad weight in %q: %v", i, f, err)
 		}
 		if w < 1 {

@@ -74,7 +74,9 @@ func TestFormatParseRoundTrip(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, in := range []string{"abc", ":5", "x:", "x:zero", "x:0", "x:-2"} {
+	// A weight is the whole text after the last colon: "5abc" is refused,
+	// not read as 5.
+	for _, in := range []string{"abc", ":5", "x:", "x:zero", "x:0", "x:-2", "read[4]:5abc"} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) accepted invalid input", in)
 		}

@@ -1,9 +1,10 @@
 package trace
 
 // DefaultNegligible is the set of operation names ignored when building
-// pattern trees. The paper (§3.1) lists "fileno, nmap and fscanf" as
-// negligible; "nmap" is almost certainly a typo for "mmap", so both are
-// included, along with other metadata-only calls of the same character.
+// pattern trees (tree.BuildOptions.Negligible). The paper (§3.1) lists
+// "fileno, nmap and fscanf" as negligible; "nmap" is almost certainly a
+// typo for "mmap", so both are included, along with other metadata-only
+// calls of the same character.
 var DefaultNegligible = map[string]bool{
 	"fileno": true,
 	"nmap":   true,
@@ -12,19 +13,4 @@ var DefaultNegligible = map[string]bool{
 	"fstat":  true,
 	"stat":   true,
 	"ftell":  true,
-}
-
-// Filter returns a copy of the trace with every operation whose name is in
-// negligible removed. A nil map means DefaultNegligible.
-func (t *Trace) Filter(negligible map[string]bool) *Trace {
-	if negligible == nil {
-		negligible = DefaultNegligible
-	}
-	c := &Trace{Name: t.Name, Label: t.Label}
-	for _, op := range t.Ops {
-		if !negligible[op.Name] {
-			c.Ops = append(c.Ops, op)
-		}
-	}
-	return c
 }

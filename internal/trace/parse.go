@@ -32,43 +32,88 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("trace: line %d: %s", e.Line, e.Msg)
 }
 
+// maxLine bounds one line of trace text, line terminator included. A
+// longer line is refused with an error wrapping bufio.ErrTooLong: Parse's
+// scanner cannot buffer it, and ParseString refuses the same lines so the
+// two accept the same inputs.
+const maxLine = 4 << 20
+
 // Parse reads a trace in the canonical text format.
 func Parse(r io.Reader) (*Trace, error) {
-	t := &Trace{}
+	var p parser
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	lineno := 0
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+		if err := p.line(sc.Text()); err != nil {
+			return nil, err
 		}
-		if strings.HasPrefix(line, "%") {
-			if err := parseHeader(t, strings.TrimSpace(line[1:])); err != nil {
-				return nil, &ParseError{lineno, err.Error()}
-			}
-			continue
-		}
-		op, err := parseOpLine(line)
-		if err != nil {
-			return nil, &ParseError{lineno, err.Error()}
-		}
-		t.Ops = append(t.Ops, op)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("trace: read: %w", err)
 	}
-	return t, nil
+	return &p.t, nil
 }
 
-// ParseString is Parse over a string.
+// ParseString is Parse over a string. It reads the lines of s in place:
+// the names, paths and header values of the returned trace are substrings
+// of s and share its memory.
 func ParseString(s string) (*Trace, error) {
-	return Parse(strings.NewReader(s))
+	var p parser
+	for s != "" {
+		line, rest, _ := strings.Cut(s, "\n")
+		if len(line) >= maxLine {
+			return nil, fmt.Errorf("trace: read: %w", bufio.ErrTooLong)
+		}
+		if err := p.line(line); err != nil {
+			return nil, err
+		}
+		s = rest
+	}
+	return &p.t, nil
+}
+
+// parser accumulates a trace one line at a time.
+type parser struct {
+	t      Trace
+	lineno int
+}
+
+// line parses one line, without its terminator.
+func (p *parser) line(line string) error {
+	p.lineno++
+	line = strings.TrimSpace(line)
+	if line == "" || line[0] == '#' {
+		return nil
+	}
+	if line[0] == '%' {
+		if err := parseHeader(&p.t, strings.TrimSpace(line[1:])); err != nil {
+			return &ParseError{p.lineno, err.Error()}
+		}
+		return nil
+	}
+	op, err := parseOpLine(line)
+	if err != nil {
+		return &ParseError{p.lineno, err.Error()}
+	}
+	if len(p.t.Ops) == cap(p.t.Ops) {
+		// Double from a fixed start, whatever the input's size: append's
+		// growth for large slices is 1.25x, which would allocate about
+		// five times the final slice along the way.
+		grown := make([]Op, len(p.t.Ops), 2*cap(p.t.Ops)+64)
+		copy(grown, p.t.Ops)
+		p.t.Ops = grown
+	}
+	p.t.Ops = append(p.t.Ops, op)
+	return nil
 }
 
 func parseHeader(t *Trace, rest string) error {
-	for _, f := range strings.Fields(rest) {
+	var buf [4]string
+	fields, err := splitFields(buf[:0], rest)
+	if err != nil {
+		return err
+	}
+	for _, f := range fields {
 		k, v, ok := strings.Cut(f, "=")
 		if !ok {
 			return fmt.Errorf("header field %q is not key=value", f)
@@ -94,7 +139,8 @@ func parseHeader(t *Trace, rest string) error {
 }
 
 func parseOpLine(line string) (Op, error) {
-	fields, err := splitFields(line)
+	var buf [8]string
+	fields, err := splitFields(buf[:0], line)
 	if err != nil {
 		return Op{}, err
 	}
@@ -150,41 +196,39 @@ func parseOpLine(line string) (Op, error) {
 	return op, nil
 }
 
-// splitFields splits on whitespace but keeps quoted values (path="a b")
-// intact, honouring backslash escapes inside quotes so values produced by
-// %q round-trip.
-func splitFields(line string) ([]string, error) {
-	var fields []string
-	var cur strings.Builder
+// splitFields appends the fields of line to dst. Fields are separated by
+// spaces and tabs, but a quoted value (path="a b") stays whole, with
+// backslash escapes honoured inside the quotes so values produced by %q
+// round-trip. Each field is a substring of line: quotes and escapes are
+// kept, and unquote decodes them.
+func splitFields(dst []string, line string) ([]string, error) {
+	start := -1 // start of the current field, or -1 between fields
 	inQuote := false
 	for i := 0; i < len(line); i++ {
-		c := line[i]
-		switch {
+		switch c := line[i]; {
 		case inQuote && c == '\\':
-			cur.WriteByte(c)
-			if i+1 < len(line) {
-				i++
-				cur.WriteByte(line[i])
-			}
-		case c == '"':
-			inQuote = !inQuote
-			cur.WriteByte(c)
+			i++ // the escaped byte belongs to the field whatever it is
 		case (c == ' ' || c == '\t') && !inQuote:
-			if cur.Len() > 0 {
-				fields = append(fields, cur.String())
-				cur.Reset()
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
 			}
 		default:
-			cur.WriteByte(c)
+			if c == '"' {
+				inQuote = !inQuote
+			}
+			if start < 0 {
+				start = i
+			}
 		}
 	}
 	if inQuote {
 		return nil, fmt.Errorf("unterminated quote")
 	}
-	if cur.Len() > 0 {
-		fields = append(fields, cur.String())
+	if start >= 0 {
+		dst = append(dst, line[start:])
 	}
-	return fields, nil
+	return dst, nil
 }
 
 // unquote decodes a quoted value. Unquoted values pass through verbatim;
@@ -203,7 +247,8 @@ func unquote(s string) (string, error) {
 }
 
 // Format writes the trace in the canonical text format. Parse(Format(t))
-// round-trips exactly.
+// round-trips exactly: names, labels and paths are quoted, whatever they
+// hold. Op names are written bare, so they must be single fields.
 func Format(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
 	if t.Name != "" || t.Label != "" {

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bufio"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -125,41 +127,6 @@ func TestValidateAllowsReopen(t *testing.T) {
 	}
 }
 
-func TestFilterDefault(t *testing.T) {
-	tr := &Trace{Ops: []Op{
-		{Name: "open", Handle: 1},
-		{Name: "fileno", Handle: 1},
-		{Name: "mmap", Handle: 1},
-		{Name: "read", Handle: 1, Bytes: 8},
-		{Name: "fscanf", Handle: 1},
-		{Name: "close", Handle: 1},
-	}}
-	f := tr.Filter(nil)
-	if f.Len() != 3 {
-		t.Fatalf("Filter left %d ops, want 3: %v", f.Len(), f.Ops)
-	}
-	for _, op := range f.Ops {
-		if DefaultNegligible[op.Name] {
-			t.Fatalf("negligible op %q survived", op.Name)
-		}
-	}
-}
-
-func TestFilterCustomSet(t *testing.T) {
-	tr := sample()
-	f := tr.Filter(map[string]bool{"read": true})
-	if f.CountByName("read") != 0 || f.Len() != 3 {
-		t.Fatal("custom filter not applied")
-	}
-}
-
-func TestFilterPreservesMetadata(t *testing.T) {
-	f := sample().Filter(nil)
-	if f.Name != "t1" || f.Label != "A" {
-		t.Fatal("Filter dropped metadata")
-	}
-}
-
 func TestRoundTrip(t *testing.T) {
 	tr := sample()
 	s := FormatString(tr)
@@ -254,6 +221,48 @@ func TestParseErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := ParseString(c.in); err == nil {
 			t.Errorf("%s: expected error for %q", c.name, c.in)
+		}
+	}
+}
+
+// A header value with a space is quoted by Format and must come back whole.
+func TestRoundTripSpacedHeader(t *testing.T) {
+	tr := &Trace{Name: "run 1", Label: "big job", Ops: []Op{{Name: "read", Handle: 1, Bytes: 8}}}
+	text := FormatString(tr)
+	got, err := ParseString(text)
+	if err != nil {
+		t.Fatalf("ParseString(%q): %v", text, err)
+	}
+	if got.Name != tr.Name || got.Label != tr.Label || len(got.Ops) != 1 || got.Ops[0] != tr.Ops[0] {
+		t.Fatalf("round trip of %q: got %+v", text, got)
+	}
+}
+
+// ParseString reads its lines in place but keeps the 4 MiB line bound of
+// Parse's scanner, at the same length, with or without a final newline.
+func TestParseLineBound(t *testing.T) {
+	for _, n := range []int{maxLine - 1, maxLine} {
+		line := "#" + strings.Repeat("x", n-1)
+		for _, body := range []string{line, line + "\n", "read fh=1\n" + line + "\nread fh=2\n"} {
+			fromString, errString := ParseString(body)
+			fromReader, errReader := Parse(strings.NewReader(body))
+			if n < maxLine {
+				if errString != nil || errReader != nil {
+					t.Fatalf("%d-byte line refused: ParseString %v, Parse %v", n, errString, errReader)
+				}
+				if len(fromString.Ops) != len(fromReader.Ops) {
+					t.Fatalf("%d-byte line: ParseString read %d ops, Parse %d", n, len(fromString.Ops), len(fromReader.Ops))
+				}
+				continue
+			}
+			for _, err := range []error{errString, errReader} {
+				if !errors.Is(err, bufio.ErrTooLong) {
+					t.Fatalf("%d-byte line: error %v, want one wrapping bufio.ErrTooLong", n, err)
+				}
+			}
+			if errString.Error() != errReader.Error() {
+				t.Fatalf("ParseString error %q, Parse error %q", errString, errReader)
+			}
 		}
 	}
 }

@@ -6,7 +6,7 @@ import (
 
 // BuildOptions configure trace-to-tree conversion.
 type BuildOptions struct {
-	// Negligible is the set of operation names dropped before building.
+	// Negligible is the set of operation names skipped while building.
 	// nil means trace.DefaultNegligible; an empty (non-nil) map keeps
 	// everything.
 	Negligible map[string]bool
@@ -22,11 +22,17 @@ type BuildOptions struct {
 // open..close span (tolerated even though Validate on the trace rejects
 // them) are placed in an implicit block so no information is lost.
 func Build(t *trace.Trace, opt BuildOptions) *Node {
-	filtered := t.Filter(opt.Negligible)
+	negligible := opt.Negligible
+	if negligible == nil {
+		negligible = trace.DefaultNegligible
+	}
 
 	root := NewInterior(Root)
 	handleNode := map[int]*Node{}   // handle -> HANDLE node
 	currentBlock := map[int]*Node{} // handle -> open BLOCK node, if any
+	// Every leaf comes from one slab; the trace's length bounds their
+	// number, so the slab never grows.
+	leaves := make([]Node, 0, len(t.Ops))
 
 	handleOf := func(h int) *Node {
 		if n, ok := handleNode[h]; ok {
@@ -38,8 +44,9 @@ func Build(t *trace.Trace, opt BuildOptions) *Node {
 		return n
 	}
 
-	for _, op := range filtered.Ops {
+	for _, op := range t.Ops {
 		switch {
+		case negligible[op.Name]:
 		case op.IsOpen():
 			h := handleOf(op.Handle)
 			blk := NewInterior(Block)
@@ -56,7 +63,8 @@ func Build(t *trace.Trace, opt BuildOptions) *Node {
 				h.Children = append(h.Children, blk)
 				currentBlock[op.Handle] = blk
 			}
-			blk.Children = append(blk.Children, NewOp(op.Name, op.Bytes))
+			leaves = append(leaves, Node{Kind: OpNode, Name: op.Name, Bytes: op.Bytes, Repeat: 1})
+			blk.Children = append(blk.Children, &leaves[len(leaves)-1])
 		}
 	}
 	return root

@@ -101,7 +101,7 @@ func mergeRuns(ops []*Node) ([]*Node, bool) {
 	if len(ops) < 2 {
 		return ops, false
 	}
-	out := ops[:0:0] // fresh backing array; ops may alias caller state
+	out := make([]*Node, 0, len(ops)) // fresh backing array; ops may alias caller state
 	changed := false
 	for _, op := range ops {
 		if n := len(out); n > 0 {
@@ -117,55 +117,73 @@ func mergeRuns(ops []*Node) ([]*Node, bool) {
 	return out, changed
 }
 
-// pairRule inspects two consecutive leaves and returns the merged node, or
-// nil when the rule does not apply.
-type pairRule func(u, v *Node) *Node
+// pairRule inspects two consecutive leaves and reports whether the rule
+// merges them, with the merged leaf's byte count and whether it takes the
+// combined name "u+v" instead of u's name. The merged leaf keeps the
+// pair's repetition count.
+type pairRule func(u, v *Node) (bytes int64, combined, ok bool)
 
 // rule2: same name, different bytes, equal repeats -> summed byte counts.
-func rule2(u, v *Node) *Node {
+func rule2(u, v *Node) (int64, bool, bool) {
 	if u.Name != v.Name || u.Bytes == v.Bytes || u.Repeat != v.Repeat {
-		return nil
+		return 0, false, false
 	}
-	return &Node{Kind: OpNode, Name: u.Name, Bytes: u.Bytes + v.Bytes, Repeat: u.Repeat}
+	return u.Bytes + v.Bytes, false, true
 }
 
 // rule3: different names, same bytes, equal repeats -> combined name.
-func rule3(u, v *Node) *Node {
+func rule3(u, v *Node) (int64, bool, bool) {
 	if u.Name == v.Name || u.Bytes != v.Bytes || u.Repeat != v.Repeat {
-		return nil
+		return 0, false, false
 	}
-	return &Node{Kind: OpNode, Name: u.Name + "+" + v.Name, Bytes: u.Bytes, Repeat: u.Repeat}
+	return u.Bytes, true, true
 }
 
 // rule4: different names, different bytes, one count zero, equal repeats ->
 // combined name, non-zero count.
-func rule4(u, v *Node) *Node {
+func rule4(u, v *Node) (int64, bool, bool) {
 	if u.Name == v.Name || u.Bytes == v.Bytes || u.Repeat != v.Repeat {
-		return nil
+		return 0, false, false
 	}
 	if u.Bytes != 0 && v.Bytes != 0 {
-		return nil
+		return 0, false, false
 	}
 	bytes := u.Bytes
 	if bytes == 0 {
 		bytes = v.Bytes
 	}
-	return &Node{Kind: OpNode, Name: u.Name + "+" + v.Name, Bytes: bytes, Repeat: u.Repeat}
+	return bytes, true, true
 }
 
 // mergePairs scans left to right merging non-overlapping adjacent pairs with
 // the rule. The merged node is appended and the scan continues after the
-// pair, so a merged node is never re-merged within the same scan.
+// pair, so a merged node is never re-merged within the same scan. Merged
+// nodes come from one slab sized for the most merges the rest of the scan
+// can make, and a run of equal pairs shares one combined name.
 func mergePairs(ops []*Node, rule pairRule) ([]*Node, bool) {
 	if len(ops) < 2 {
 		return ops, false
 	}
-	out := ops[:0:0]
+	out := make([]*Node, 0, len(ops))
 	changed := false
+	var merged []Node
+	var name, nameU, nameV string // the last combined name and its parts
 	for i := 0; i < len(ops); {
 		if i+1 < len(ops) {
-			if m := rule(ops[i], ops[i+1]); m != nil {
-				out = append(out, m)
+			u, v := ops[i], ops[i+1]
+			if bytes, combined, ok := rule(u, v); ok {
+				if merged == nil {
+					merged = make([]Node, 0, (len(ops)-i)/2)
+				}
+				m := Node{Kind: OpNode, Name: u.Name, Bytes: bytes, Repeat: u.Repeat}
+				if combined {
+					if name == "" || u.Name != nameU || v.Name != nameV {
+						name, nameU, nameV = u.Name+"+"+v.Name, u.Name, v.Name
+					}
+					m.Name = name
+				}
+				merged = append(merged, m)
+				out = append(out, &merged[len(merged)-1])
 				i += 2
 				changed = true
 				continue

@@ -121,16 +121,31 @@ open fh=1
 fileno fh=1
 mmap fh=1
 write fh=1 bytes=4
+fscanf fh=1
+read fh=1 bytes=8
 close fh=1
 `)
 	n := Build(tr, BuildOptions{})
-	if n.CountLeaves() != 1 {
-		t.Fatalf("leaves = %d, want 1", n.CountLeaves())
+	if n.CountLeaves() != 2 {
+		t.Fatalf("leaves = %d, want 2", n.CountLeaves())
 	}
+	n.Walk(func(node *Node, _ int) bool {
+		if node.IsLeaf() && trace.DefaultNegligible[node.Name] {
+			t.Errorf("negligible op %q survived", node.Name)
+		}
+		return true
+	})
 	// Empty non-nil map keeps everything.
 	n2 := Build(tr, BuildOptions{Negligible: map[string]bool{}})
-	if n2.CountLeaves() != 3 {
-		t.Fatalf("unfiltered leaves = %d, want 3", n2.CountLeaves())
+	if n2.CountLeaves() != 5 {
+		t.Fatalf("unfiltered leaves = %d, want 5", n2.CountLeaves())
+	}
+	// A custom set replaces the default one, and may name open or close:
+	// the ops then land in an implicit block.
+	n3 := Build(tr, BuildOptions{Negligible: map[string]bool{"read": true, "open": true}})
+	want := "ROOT\n  HANDLE\n    BLOCK\n      fileno[0]\n      mmap[0]\n      write[4]\n      fscanf[0]\n"
+	if got := n3.Render(); got != want {
+		t.Fatalf("custom set built\n%s\nwant\n%s", got, want)
 	}
 }
 
