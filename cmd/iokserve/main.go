@@ -1,8 +1,10 @@
 // Command iokserve runs an HTTP similarity service backed by the corpus
 // engine: traces are POSTed one at a time or in batches, converted to
-// weighted strings, and inserted with one kernel evaluation each (the
-// self-similarity); top-k neighbour queries and the similarity matrix
-// evaluate pairwise kernel values on demand.
+// weighted strings, and inserted with one Kast kernel evaluation each (the
+// self-similarity, at cut weight -cut); top-k neighbour queries and the
+// similarity matrix evaluate pairwise kernel values on demand. The
+// baseline kernels of the paper's comparisons are served by the batch
+// CLIs (iokmatrix, iokexp), not here.
 //
 // With --data-dir the corpus is durable: every accepted mutation is
 // appended to a CRC-checked write-ahead log before it is acknowledged, and
@@ -31,8 +33,8 @@
 //
 // Usage:
 //
-//	iokserve [-addr :8080] [-kernel kast] [-cut 2] [-k 5] [-count]
-//	         [-nobytes] [-workers 0] [-data-dir DIR] [-snapshot-every 1024]
+//	iokserve [-addr :8080] [-cut 2] [-nobytes] [-workers 0]
+//	         [-data-dir DIR] [-snapshot-every 1024]
 //	         [-nosync] [-sketch-dim 256] [-sketch-seed 0]
 //	         [-ann-bands 16] [-ann-rows 8]
 //	         [-shards 1] [-shard-seed 0] [-labels FILE]
@@ -68,7 +70,7 @@
 //	                         whole-trace verdict stream back as NDJSON
 //	GET    /gram             raw kernel matrix ({"ids": [...], "matrix": [[...]]}),
 //	                         evaluated on demand; 413 above 1024 live traces
-//	GET    /gram?normalized=1  paper-pipeline similarity (Eq. 12 / cosine + PSD repair)
+//	GET    /gram?normalized=1  paper-pipeline similarity (Eq. 12 + PSD repair)
 //	GET    /healthz          liveness probe with the shard count; "degraded"
 //	                         if persistence fails
 //	GET    /metrics          Prometheus text exposition: every layer (HTTP,
@@ -101,7 +103,6 @@ import (
 	"time"
 
 	"iokast/internal/classify"
-	"iokast/internal/cli"
 	"iokast/internal/core"
 	"iokast/internal/engine"
 	"iokast/internal/obs"
@@ -128,10 +129,7 @@ func listenAndAnnounce(addr string, w io.Writer) (net.Listener, error) {
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	kernelName := flag.String("kernel", "kast", "kernel: kast, blended, spectrum or bagoftokens")
-	cut := flag.Int("cut", 2, "cut weight")
-	k := flag.Int("k", 0, "substring length bound for blended/spectrum (0 = default)")
-	count := flag.Bool("count", false, "count occurrences instead of summing weights (baselines)")
+	cut := flag.Int("cut", 2, "Kast cut weight")
 	noBytes := flag.Bool("nobytes", false, "ignore byte counts when converting traces")
 	workers := flag.Int("workers", 0, "max goroutines for kernel evaluation (0 = GOMAXPROCS)")
 	dataDir := flag.String("data-dir", "", "directory for WAL + snapshots; empty = in-memory only")
@@ -152,12 +150,6 @@ func main() {
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 	flag.Parse()
 
-	spec := cli.KernelSpec{Name: *kernelName, CutWeight: *cut, K: *k, Count: *count}
-	kern, err := spec.Build()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "iokserve: %v\n", err)
-		os.Exit(2)
-	}
 	if *shards < 1 {
 		fmt.Fprintf(os.Stderr, "iokserve: -shards must be >= 1, got %d\n", *shards)
 		os.Exit(2)
@@ -176,7 +168,7 @@ func main() {
 	obsReg := obs.NewRegistry()
 
 	eopt := engine.Options{
-		Kernel: kern, Workers: *workers,
+		Kernel: &core.Kast{CutWeight: *cut}, Workers: *workers,
 		SketchDim: *sketchDim, SketchSeed: *sketchSeed,
 		ANNBands: *annBands, ANNRows: *annRows,
 	}
@@ -189,6 +181,7 @@ func main() {
 	// or <data-dir>/LABELS (next to the MANIFEST), or purely in-memory when
 	// neither is given. Registry commits are atomic temp+rename writes, so a
 	// kill preserves the last full table.
+	var err error
 	reg := classify.NewRegistry()
 	regPath := *labelsPath
 	if regPath == "" && *dataDir != "" {
@@ -299,7 +292,7 @@ func main() {
 		}()
 	}
 
-	log.Printf("iokserve: kernel %s, listening on %s", kern.Name(), ln.Addr())
+	log.Printf("iokserve: kernel %s, listening on %s", sh.Kernel().Name(), ln.Addr())
 	if err := httpSrv.Serve(ln); err != http.ErrServerClosed {
 		log.Fatal(err)
 	}

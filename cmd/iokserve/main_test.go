@@ -1,11 +1,49 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"net"
+	"os"
+	"os/exec"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
+
+// TestMain runs iokserve's main instead of the tests when
+// IOKSERVE_RUN_MAIN=1, so a test can start the command as a child process
+// of the test binary and read its exit status.
+func TestMain(m *testing.M) {
+	if os.Getenv("IOKSERVE_RUN_MAIN") == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestKernelFlagsRejected: the corpus runs Kast only, so -kernel, -k and
+// -count are unknown flags. iokserve exits 2 with a usage message before
+// it listens. A server that accepted one would keep running until the
+// timeout kills it, which fails the test too.
+func TestKernelFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{{"-kernel", "blended"}, {"-k", "5"}, {"-count"}} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], append(args, "-addr", "127.0.0.1:0")...)
+		cmd.Env = append(os.Environ(), "IOKSERVE_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("iokserve %v: %v, want exit status 2\n%s", args, err, out)
+			continue
+		}
+		if want := "flag provided but not defined: " + args[0]; !strings.Contains(string(out), want) {
+			t.Errorf("iokserve %v: output lacks %q:\n%s", args, want, out)
+		}
+	}
+}
 
 // TestListenAndAnnounce pins the machine-parsable readiness line: binding
 // :0 must print the *resolved* address (real port, not ":0"), in exactly

@@ -55,8 +55,9 @@ func ComputeStats(t *Trace) TraceStats { return trace.ComputeStats(t) }
 func NewRecordingFS() *RecordingFS { return iofs.New() }
 
 // NewClassifier builds a k-nearest-neighbour pattern classifier over
-// labelled weighted strings using the given kernel (cosine-normalised
-// internally).
+// labelled weighted strings using the given Kast kernel (nil means
+// NewKast(2); similarities are cosine-normalised internally). Any other
+// kernel is refused with an error.
 func NewClassifier(k Kernel, refs []WeightedString, labels []string, neighbours int) (*Classifier, error) {
 	return classify.New(k, refs, labels, neighbours)
 }

@@ -31,18 +31,22 @@ import (
 // exact), queries run engine.SimilarTrace, and the winner is picked by the
 // shared similarity-weighted vote.
 type Classifier struct {
-	kern   kernel.Kernel
 	eng    *engine.Engine
 	refs   []token.String
 	labels []string
 	k      int
 }
 
-// New builds a k-nearest-neighbour classifier over the reference set. The
-// kernel is wrapped with cosine normalisation internally (similarities
-// must be comparable across differently sized references). k defaults to
-// 1; it is clamped to the reference count.
+// New builds a k-nearest-neighbour classifier over the reference set. kern
+// must be a Kast kernel (nil means cut weight 2); any other kernel is
+// refused with an error that names it. Similarities are cosine-normalised
+// internally, so they are comparable across differently sized references.
+// k defaults to 1; it is clamped to the reference count.
 func New(kern kernel.Kernel, refs []token.String, labels []string, k int) (*Classifier, error) {
+	kast, err := engine.KastKernel(kern)
+	if err != nil {
+		return nil, fmt.Errorf("classify: %w", err)
+	}
 	if len(refs) == 0 {
 		return nil, fmt.Errorf("classify: empty reference set")
 	}
@@ -55,12 +59,11 @@ func New(kern kernel.Kernel, refs []token.String, labels []string, k int) (*Clas
 	if k > len(refs) {
 		k = len(refs)
 	}
-	eng := engine.New(engine.Options{Kernel: kern, SketchDim: -1})
+	eng := engine.New(engine.Options{Kernel: kast, SketchDim: -1})
 	if _, err := eng.AddBatch(refs); err != nil {
 		return nil, fmt.Errorf("classify: %w", err)
 	}
 	return &Classifier{
-		kern:   kern,
 		eng:    eng,
 		refs:   append([]token.String(nil), refs...),
 		labels: append([]string(nil), labels...),
@@ -78,8 +81,8 @@ type Match struct {
 // matches scores x against every reference, most similar first (ties by
 // ascending reference index — engine.SortNeighbors order).
 func (c *Classifier) matches(x token.String) ([]Match, error) {
-	if self := c.kern.Compare(x, x); self <= 0 {
-		return nil, fmt.Errorf("classify: input has zero self-similarity under %s", c.kern.Name())
+	if kern := c.eng.Kernel(); kern.Compare(x, x) <= 0 {
+		return nil, fmt.Errorf("classify: input has zero self-similarity under %s", kern.Name())
 	}
 	// Sketching is disabled on the reference engine, so this is always the
 	// exact path: one kernel evaluation per reference.

@@ -1,10 +1,12 @@
 package classify
 
 import (
+	"strings"
 	"testing"
 
 	"iokast/internal/core"
 	"iokast/internal/iogen"
+	"iokast/internal/kernel"
 	"iokast/internal/token"
 	"iokast/internal/xrand"
 )
@@ -31,6 +33,13 @@ func TestNewValidation(t *testing.T) {
 	}
 	if c.k != 1 {
 		t.Fatalf("k not clamped: %d", c.k)
+	}
+	// The reference engine runs Kast only: any other kernel is refused
+	// with an error that names it, not a panic.
+	for _, other := range []kernel.Kernel{&kernel.Blended{P: 5}, kernel.Normalized{K: k}} {
+		if _, err := New(other, []token.String{ws("a", 2)}, []string{"x"}, 1); err == nil || !strings.Contains(err.Error(), other.Name()) {
+			t.Errorf("New(%s) = %v, want an error naming the kernel", other.Name(), err)
+		}
 	}
 }
 

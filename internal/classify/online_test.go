@@ -49,7 +49,7 @@ func labelsMatch(got, want string) bool {
 
 // Quality harness: online classification over a live engine must reach the
 // pinned accuracy floor on labelled synthetic corpora, for the paper's
-// kernel at two cut weights and one featured baseline.
+// kernel at two cut weights and under the total-weight viability rule.
 func TestOnlineClassificationQuality(t *testing.T) {
 	kernels := []struct {
 		name string
@@ -57,7 +57,7 @@ func TestOnlineClassificationQuality(t *testing.T) {
 	}{
 		{"kast-cut2", func() kernel.Kernel { return &core.Kast{CutWeight: 2} }},
 		{"kast-cut4", func() kernel.Kernel { return &core.Kast{CutWeight: 4} }},
-		{"blended", func() kernel.Kernel { return &kernel.Blended{P: 5} }},
+		{"kast-cut2-total", func() kernel.Kernel { return &core.Kast{CutWeight: 2, Viability: core.ViaTotalWeight} }},
 	}
 	refs, refLabels, queries, queryLabels := labelledCorpus(t, 7)
 	for _, kc := range kernels {

@@ -25,7 +25,7 @@ func TestClassificationShardedParity(t *testing.T) {
 	}{
 		{"kast-cut2", func() kernel.Kernel { return &core.Kast{CutWeight: 2} }},
 		{"kast-cut4", func() kernel.Kernel { return &core.Kast{CutWeight: 4} }},
-		{"blended", func() kernel.Kernel { return &kernel.Blended{P: 5} }},
+		{"kast-cut2-total", func() kernel.Kernel { return &core.Kast{CutWeight: 2, Viability: core.ViaTotalWeight} }},
 	}
 	refs, refLabels, queries, _ := labelledCorpus(t, 21)
 	reg := NewRegistry()

@@ -16,9 +16,9 @@ type Vote struct {
 // aggregate turns scored, labelled neighbours into per-label votes weighted
 // by normalised similarity and picks the winner. labels[i] and sims[i]
 // describe one neighbour; entries with an empty label (unlabelled corpus
-// ids) are ignored. Negative similarities (possible for featured kernels
-// only in pathological cases; all kernels here are non-negative) clamp to
-// zero so a bad neighbour can never subtract from a label.
+// ids) are ignored. Negative similarities (Kast values are non-negative,
+// so none arise from the corpus) clamp to zero so a bad neighbour can
+// never subtract from a label.
 //
 // Determinism contract: votes accumulate in the neighbour order given, so
 // callers that present bit-identical neighbour lists (the sharded-vs-single

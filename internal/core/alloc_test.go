@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -20,6 +21,19 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// workloadBody concatenates load-generator bodies until they reach size
+// bytes: every category's ops, headers and open..close spans, as perfbench
+// and iokload send them.
+func workloadBody(size int) string {
+	var b strings.Builder
+	g := iogen.NewBodyGen(7, nil)
+	for b.Len() < size {
+		body, _ := g.Next()
+		b.WriteString(body)
+	}
+	return b.String()
+}
+
 // TestFrontHalfAllocationBounds bounds what parsing and converting one
 // request body may allocate, as a multiple of the body's size. Request
 // bodies reach 16 MiB (POST /traces) and 64 MiB (POST /traces/batch), so
@@ -29,15 +43,7 @@ func allocated(f func()) uint64 {
 func TestFrontHalfAllocationBounds(t *testing.T) {
 	const size = 4 << 20
 	t.Run("workload", func(t *testing.T) {
-		// Repeated load-generator bodies: every category's ops, headers
-		// and open..close spans, as perfbench and iokload send them.
-		var b strings.Builder
-		g := iogen.NewBodyGen(7, nil)
-		for b.Len() < size {
-			body, _ := g.Next()
-			b.WriteString(body)
-		}
-		body := b.String()
+		body := workloadBody(size)
 		var ops int
 		n := allocated(func() {
 			tr, err := trace.ParseString(body)
@@ -51,6 +57,25 @@ func TestFrontHalfAllocationBounds(t *testing.T) {
 		t.Logf("%d bytes, %d ops: parse+convert allocated %d bytes, %.1f per input byte", len(body), ops, n, perByte)
 		if perByte > 24 {
 			t.Fatalf("parse+convert allocated %.1f bytes per input byte, want at most 24", perByte)
+		}
+	})
+	// The byte-ignoring variant reads byte counts as zero while it builds
+	// the tree: it allocates no more than the default conversion of the
+	// same trace, and leaves the caller's trace as it was.
+	t.Run("nobytes", func(t *testing.T) {
+		tr, err := trace.ParseString(workloadBody(size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := tr.Clone()
+		plain := allocated(func() { Convert(tr, Options{}) })
+		nobytes := allocated(func() { Convert(tr, Options{IgnoreBytes: true}) })
+		t.Logf("%d ops: convert allocated %d bytes, %d with IgnoreBytes", len(tr.Ops), plain, nobytes)
+		if nobytes > plain {
+			t.Fatalf("IgnoreBytes conversion allocated %d bytes, more than the %d of Options{}", nobytes, plain)
+		}
+		if !reflect.DeepEqual(tr, before) {
+			t.Fatal("IgnoreBytes conversion modified the caller's trace")
 		}
 	})
 	// Bodies that hold no op allocate next to nothing, whatever their size:

@@ -11,8 +11,9 @@ import (
 // retained.
 type Options struct {
 	// IgnoreBytes produces the second string variant: every byte count is
-	// assumed to be zero before tree building, so the compression rules and
-	// the token literals carry no byte information.
+	// read as zero while the tree is built (tree.BuildOptions.IgnoreBytes),
+	// so the compression rules and the token literals carry no byte
+	// information.
 	IgnoreBytes bool
 	// Negligible overrides the set of ignored operations (nil means
 	// trace.DefaultNegligible).
@@ -41,20 +42,14 @@ func (o Options) compressOptions() tree.CompressOptions {
 // filtering, optional byte erasure, tree building, compression, and
 // flattening to a weighted string.
 func Convert(t *trace.Trace, opt Options) token.String {
-	if opt.IgnoreBytes {
-		t = t.ZeroBytes()
-	}
-	root := tree.BuildCompressed(t, tree.BuildOptions{Negligible: opt.Negligible}, opt.compressOptions())
-	return token.FromTree(root)
+	return token.FromTree(ConvertTree(t, opt))
 }
 
 // ConvertTree is Convert stopping at the compressed tree, for tools that
 // want to render the intermediate representation.
 func ConvertTree(t *trace.Trace, opt Options) *tree.Node {
-	if opt.IgnoreBytes {
-		t = t.ZeroBytes()
-	}
-	return tree.BuildCompressed(t, tree.BuildOptions{Negligible: opt.Negligible}, opt.compressOptions())
+	bopt := tree.BuildOptions{Negligible: opt.Negligible, IgnoreBytes: opt.IgnoreBytes}
+	return tree.BuildCompressed(t, bopt, opt.compressOptions())
 }
 
 // ConvertAll converts a slice of traces with shared options.

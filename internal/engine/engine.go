@@ -18,8 +18,9 @@ import (
 
 // Options configure an Engine.
 type Options struct {
-	// Kernel is the similarity function. nil means the paper's default,
-	// &core.Kast{CutWeight: 2}.
+	// Kernel is the Kast kernel the engine runs: nil means the paper's
+	// default, &core.Kast{CutWeight: 2}. Any other kernel is refused (see
+	// KastKernel); the baselines run through kernel.Gram instead.
 	Kernel kernel.Kernel
 	// Workers bounds the goroutines of every kernel fan-out (batch ingest,
 	// query reranks, on-demand Gram matrices); <= 0 means GOMAXPROCS.
@@ -70,15 +71,13 @@ type Log interface {
 }
 
 // Engine is a corpus of weighted strings with exact and approximate
-// similarity queries over it. It stores per-string state only — the
-// kernel view, the sketch and the self-similarity k(x, x) — and evaluates
-// every pairwise kernel value on demand. The zero value is not usable; use
-// New. All methods are safe for concurrent use.
+// similarity queries over it under the Kast kernel. It stores per-string
+// state only — the interned view, the sketch and the self-similarity
+// k(x, x) — and evaluates every pairwise kernel value on demand. The zero
+// value is not usable; use New. All methods are safe for concurrent use.
 type Engine struct {
 	mu       sync.RWMutex
-	k        kernel.Kernel
-	kast     *core.Kast // non-nil iff k is a Kast kernel
-	featured bool       // k exposes per-string feature maps
+	kast     *core.Kast
 	interner *core.Interner
 	workers  int
 
@@ -93,15 +92,14 @@ type Engine struct {
 	met Metrics          // telemetry hooks; zero value = disabled
 }
 
-// entry caches one corpus string and its per-string representation.
-// Entries are immutable once committed: Remove only clears the slot, so a
-// pointer copied under the read lock stays valid after it is released.
+// entry caches one corpus string's interned view, which holds the string
+// itself. Entries are immutable once committed: Remove only clears the
+// slot, so a pointer copied under the read lock stays valid after it is
+// released.
 type entry struct {
-	x     token.String
-	feats map[string]float64 // featured kernels
-	prep  *core.Prepared     // Kast kernels
-	vec   []float64          // sketch vector; shares storage with the index
-	self  float64            // k(x, x), the normaliser of every cosine score
+	prep *core.Prepared
+	vec  []float64 // sketch vector; shares storage with the index
+	self float64   // k(x, x), the normaliser of every cosine score
 }
 
 // Neighbor is one entry of a top-k similarity query.
@@ -110,23 +108,33 @@ type Neighbor struct {
 	Similarity float64 `json:"similarity"`
 }
 
-// New returns an empty engine.
+// KastKernel resolves Options.Kernel to the Kast kernel an engine runs:
+// nil means &core.Kast{CutWeight: 2}. Any other kernel is refused with an
+// error that names it. Constructors that return an error (shard.New,
+// shard.Open, classify.New) check with it before they call New.
+func KastKernel(k kernel.Kernel) (*core.Kast, error) {
+	switch kk := k.(type) {
+	case nil:
+		return &core.Kast{CutWeight: 2}, nil
+	case *core.Kast:
+		return kk, nil
+	}
+	return nil, fmt.Errorf("engine: kernel %s is not supported: the corpus runs the Kast kernel only", k.Name())
+}
+
+// New returns an empty engine. It panics when opt.Kernel is not a Kast
+// kernel (see KastKernel).
 func New(opt Options) *Engine {
-	k := opt.Kernel
-	if k == nil {
-		k = &core.Kast{CutWeight: 2}
+	kast, err := KastKernel(opt.Kernel)
+	if err != nil {
+		panic(err)
 	}
 	e := &Engine{
-		k:       k,
-		workers: opt.Workers,
-		log:     opt.Log,
-		met:     opt.Metrics,
-	}
-	if kk, ok := k.(*core.Kast); ok {
-		e.kast = kk
-		e.interner = core.NewInterner()
-	} else if _, ok := kernel.Features(k, nil); ok {
-		e.featured = true
+		kast:     kast,
+		interner: core.NewInterner(),
+		workers:  opt.Workers,
+		log:      opt.Log,
+		met:      opt.Metrics,
 	}
 	if opt.SketchDim >= 0 {
 		e.sk = sketch.New(sketch.Options{Dim: opt.SketchDim, Seed: opt.SketchSeed})
@@ -137,7 +145,7 @@ func New(opt Options) *Engine {
 }
 
 // Kernel returns the engine's kernel.
-func (e *Engine) Kernel() kernel.Kernel { return e.k }
+func (e *Engine) Kernel() *core.Kast { return e.kast }
 
 // Len returns the number of live (non-removed) corpus entries.
 func (e *Engine) Len() int {
@@ -236,7 +244,7 @@ func (e *Engine) insert(ids []int, xs []token.String) ([]int, error) {
 	if e.log != nil {
 		strs := make([]token.String, m)
 		for t, ne := range nes {
-			strs[t] = ne.x
+			strs[t] = ne.prep.String()
 		}
 		//iokvet:allow lockscope(WAL insert append under e.mu is the documented durability point: ids are checked and logged atomically with respect to readers)
 		if logErr = e.log.LogInsert(ids, strs); logErr != nil {
@@ -259,30 +267,19 @@ func (e *Engine) insert(ids []int, xs []token.String) ([]int, error) {
 	return ids, logErr
 }
 
-// ingestEntry builds everything a new corpus entry caches: its kernel
+// ingestEntry builds everything a new corpus entry caches: its interned
 // view, its sketch and its self-similarity. Safe for concurrent use.
 func (e *Engine) ingestEntry(x token.String) *entry {
 	ne := e.newEntry(x)
 	e.sketchEntry(ne)
-	ne.self = e.compare(ne, ne)
+	ne.self = e.kast.ComparePrepared(ne.prep, ne.prep)
 	return ne
 }
 
-// newEntry builds the cached kernel view for x. Safe for concurrent use.
+// newEntry interns x into a new entry's view; the view keeps a defensive
+// copy of x. Safe for concurrent use.
 func (e *Engine) newEntry(x token.String) *entry {
-	ne := &entry{}
-	switch {
-	case e.kast != nil:
-		ne.prep = e.interner.Prepare(x)
-		ne.x = ne.prep.String() // aliases the interner's defensive copy
-	case e.featured:
-		f, _ := kernel.Features(e.k, x)
-		ne.feats = f
-		ne.x = append(token.String(nil), x...)
-	default:
-		ne.x = append(token.String(nil), x...)
-	}
-	return ne
+	return &entry{prep: e.interner.Prepare(x)}
 }
 
 // queryEntry builds this engine's view of a query string. Unlike newEntry
@@ -291,29 +288,18 @@ func (e *Engine) newEntry(x token.String) *entry {
 // — however diverse or adversarial — cannot permanently grow engine
 // memory. Safe for concurrent use.
 func (e *Engine) queryEntry(tq *TraceQuery) *entry {
-	qe := &entry{x: tq.x, feats: tq.feats}
-	if e.kast != nil {
-		qe.prep = e.interner.PrepareEphemeral(tq.x)
-		qe.x = qe.prep.String()
-	}
-	return qe
+	return &entry{prep: e.interner.PrepareEphemeral(tq.x)}
 }
 
-// sketchEntry fills ne.vec with the entry's sketch. Featured kernels are
-// sketched from their own feature maps, so the sketch cosine estimates the
-// kernel's cosine directly; Kast (and any other) kernels are sketched from
-// the string's windowed substring features, a proxy that tracks shared-
-// substring similarity well enough for shortlist recall (the exact rerank
-// restores exact results). Safe for concurrent use.
+// sketchEntry fills ne.vec with the sketch of the entry's string: its
+// windowed substring features, a proxy that tracks Kast's shared-substring
+// similarity well enough for shortlist recall (the exact rerank restores
+// exact results). Safe for concurrent use.
 func (e *Engine) sketchEntry(ne *entry) {
 	if e.sk == nil {
 		return
 	}
-	if e.featured {
-		ne.vec = e.sk.SketchFeatures(ne.feats)
-		return
-	}
-	ne.vec = e.sk.Sketch(ne.x)
+	ne.vec = e.sk.Sketch(ne.prep.String())
 }
 
 // indexEntry registers a committed entry's sketch under its id. Caller
@@ -326,38 +312,22 @@ func (e *Engine) indexEntry(id int, ne *entry) {
 	_ = e.ix.Add(id, ne.vec)
 }
 
-// compareRow evaluates the kernel between the query qe and each candidate,
-// fanned out over the worker pool. It runs outside e.mu: the candidates
-// are immutable entries copied under the read lock. For a by-id query
-// (qid >= 0) every pair puts the lower id first, the argument order of
-// kernel.Gram, so exact answers equal a brute-force Gram bit for bit even
-// for kernels that are not symmetric in floating point; a trace query
-// (qid < 0) always comes first.
-func (e *Engine) compareRow(qe *entry, qid int, cands []sketch.Candidate, against []*entry) []float64 {
-	e.met.KernelEvals.Add(int64(len(against)))
-	row := make([]float64, len(against))
-	if e.kast != nil {
-		e.met.SharedEvals.Add(int64(e.kastRow(qe.prep, qid, cands, against, row)))
-		return row
-	}
-	kernel.ParallelFor(len(against), e.workers, func(i int) {
-		if cands[i].ID < qid {
-			row[i] = e.compare(against[i], qe)
-		} else {
-			row[i] = e.compare(qe, against[i])
-		}
-	})
-	return row
-}
-
-// kastRow is compareRow for a Kast kernel, which shares work between
-// candidates of one shape (core.Kast.CompareRow). The candidates are
-// ordered by orientation, then shape, and the order is cut into at most
-// one contiguous chunk per worker, each one CompareRow call; values go
-// back to row by candidate index. It returns how many values a class dot
-// product derived.
-func (e *Engine) kastRow(q *core.Prepared, qid int, cands []sketch.Candidate, against []*entry, row []float64) int {
+// compareRow evaluates the kernel between the query view q and each
+// candidate. It runs outside e.mu: the candidates are immutable entries
+// copied under the read lock. For a by-id query (qid >= 0) every pair puts
+// the lower id first, the argument order of kernel.Gram, so exact answers
+// equal a brute-force Gram bit for bit even where Kast is not symmetric in
+// floating point (heavy weights); a trace query (qid < 0) always comes
+// first.
+//
+// Candidates of one shape share work (core.Kast.CompareRow). The
+// candidates are ordered by orientation, then shape, and the order is cut
+// into at most one contiguous chunk per worker, each one CompareRow call;
+// values go back to the row by candidate index.
+func (e *Engine) compareRow(q *core.Prepared, qid int, cands []sketch.Candidate, against []*entry) []float64 {
 	n := len(against)
+	e.met.KernelEvals.Add(int64(n))
+	row := make([]float64, n)
 	// Sort keys: the orientation bit (candidate first sorts first), the
 	// shape, then the candidate index in the low 32 bits.
 	order := make([]uint64, n)
@@ -394,19 +364,8 @@ func (e *Engine) kastRow(q *core.Prepared, qid int, cands []sketch.Candidate, ag
 	for _, d := range derived {
 		sum += d
 	}
-	return sum
-}
-
-// compare evaluates the kernel on two cached entries.
-func (e *Engine) compare(a, b *entry) float64 {
-	switch {
-	case e.kast != nil:
-		return e.kast.ComparePrepared(a.prep, b.prep)
-	case e.featured:
-		return kernel.DotFeatures(a.feats, b.feats)
-	default:
-		return e.k.Compare(a.x, b.x)
-	}
+	e.met.SharedEvals.Add(int64(sum))
+	return row
 }
 
 // Remove deletes the entry with the given id in O(1): the slot is cleared
@@ -490,14 +449,17 @@ func (e *Engine) live() ([]int, []*entry) {
 	return ids, ens
 }
 
-// gram evaluates a Gram matrix over the live entries on demand with
-// kernel.SymmetricGram (row/column order = increasing id, lower id first
-// in every pair, like kernel.Gram). The kernel work runs outside e.mu.
-func (e *Engine) gram(eval func(a, b *entry) float64) (*linalg.Matrix, []int, []*entry) {
+// gram evaluates the Gram matrix of k over the live entries on demand
+// with kernel.SymmetricGram (row/column order = increasing id, lower id
+// first in every pair, like kernel.Gram). The kernel work runs outside
+// e.mu.
+func (e *Engine) gram(k *core.Kast) (*linalg.Matrix, []int, []*entry) {
 	ids, ens := e.live()
 	n := len(ens)
 	e.met.KernelEvals.Add(int64(n) * int64(n+1) / 2)
-	g := kernel.SymmetricGram(n, e.workers, func(i, j int) float64 { return eval(ens[i], ens[j]) })
+	g := kernel.SymmetricGram(n, e.workers, func(i, j int) float64 {
+		return k.ComparePrepared(ens[i].prep, ens[j].prep)
+	})
 	return g, ids, ens
 }
 
@@ -505,7 +467,7 @@ func (e *Engine) gram(eval func(a, b *entry) float64) (*linalg.Matrix, []int, []
 // order = increasing id) together with the ids, evaluated on demand from
 // the cached per-string views: n(n+1)/2 kernel evaluations.
 func (e *Engine) Gram() (*linalg.Matrix, []int) {
-	g, ids, _ := e.gram(e.compare)
+	g, ids, _ := e.gram(e.kast)
 	return g, ids
 }
 
@@ -515,7 +477,7 @@ func (e *Engine) Strings() ([]token.String, []int) {
 	ids, ens := e.live()
 	xs := make([]token.String, len(ens))
 	for i, en := range ens {
-		xs[i] = append(token.String(nil), en.x...)
+		xs[i] = append(token.String(nil), en.prep.String()...)
 	}
 	return xs, ids
 }
@@ -528,7 +490,7 @@ func (e *Engine) StringAt(id int) (token.String, bool) {
 	if id < 0 || id >= len(e.entries) || e.entries[id] == nil {
 		return nil, false
 	}
-	return append(token.String(nil), e.entries[id].x...), true
+	return append(token.String(nil), e.entries[id].prep.String()...), true
 }
 
 // Has reports whether id names a live (non-removed) corpus entry. It is
@@ -541,34 +503,30 @@ func (e *Engine) Has(id int) bool {
 }
 
 // NormalizedGram returns the paper's post-processed similarity matrix over
-// the live entries (see NormalizeGram) — exactly the PaperSimilarity /
-// CosineSimilarity batch pipelines, fed from the cached per-string views.
-// clipped is the number of negative eigenvalues removed by the repair.
+// the live entries (see NormalizeGram) — exactly the PaperSimilarity batch
+// pipeline, fed from the cached per-string views. clipped is the number of
+// negative eigenvalues removed by the repair.
 func (e *Engine) NormalizedGram() (m *linalg.Matrix, ids []int, clipped int, err error) {
-	raw, ids, ens := e.gram(e.compare)
+	raw, ids, ens := e.gram(e.kast)
 	xs := make([]token.String, len(ens))
 	for i, en := range ens {
-		xs[i] = en.x
+		xs[i] = en.prep.String()
 	}
-	m, clipped, err = NormalizeGram(e.k, raw, xs)
+	m, clipped, err = NormalizeGram(e.kast, raw, xs)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	return m, ids, clipped, nil
 }
 
-// NormalizeGram applies the paper's post-processing to a raw Gram matrix
-// over xs: Eq. 12 normalisation for Kast kernels, cosine normalisation
-// otherwise, then PSD repair. clipped is the number of negative
-// eigenvalues the repair removed.
-func NormalizeGram(k kernel.Kernel, raw *linalg.Matrix, xs []token.String) (m *linalg.Matrix, clipped int, err error) {
-	norm := raw
-	if kk, ok := k.(*core.Kast); ok {
-		if norm, err = core.NormalizeGramPaper(raw, xs, kk.CutWeight); err != nil {
-			return nil, 0, err
-		}
-	} else {
-		norm = kernel.NormalizeCosine(raw)
+// NormalizeGram applies the paper's post-processing to a raw Kast Gram
+// matrix over xs: Eq. 12 normalisation at k's cut weight, then PSD
+// repair. clipped is the number of negative eigenvalues the repair
+// removed.
+func NormalizeGram(k *core.Kast, raw *linalg.Matrix, xs []token.String) (m *linalg.Matrix, clipped int, err error) {
+	norm, err := core.NormalizeGramPaper(raw, xs, k.CutWeight)
+	if err != nil {
+		return nil, 0, err
 	}
 	return kernel.PSDRepair(norm)
 }
@@ -634,19 +592,18 @@ func (e *Engine) SimilarApprox(id, k, rerank int) ([]Neighbor, error) {
 }
 
 // TraceQuery is a query prepared once for one or more
-// SimilarTracePrepared calls: the canonical string, the feature map
-// (featured kernels), the prepared sketch query (vector, band signature,
-// quantized copy) and the self-similarity k(q, q). All of these depend
-// only on the string and the engine configuration — not on any corpus —
-// so one TraceQuery can be shared across every engine built with the same
-// kernel and sketch/ANN configuration. internal/shard prepares the query
-// once and fans the same TraceQuery out to all shards, paying the sketch
-// and signature cost once instead of once per shard.
+// SimilarTracePrepared calls: the canonical string, the prepared sketch
+// query (vector, band signature, quantized copy) and the self-similarity
+// k(q, q). All of these depend only on the string and the engine
+// configuration — not on any corpus — so one TraceQuery can be shared
+// across every engine built with the same kernel and sketch/ANN
+// configuration. internal/shard prepares the query once and fans the same
+// TraceQuery out to all shards, paying the sketch and signature cost once
+// instead of once per shard.
 type TraceQuery struct {
-	x     token.String
-	feats map[string]float64
-	sq    *sketch.Query
-	self  float64
+	x    token.String
+	sq   *sketch.Query
+	self float64
 	// A by-id query (PrepareStoredQuery) names the engine and id of its
 	// stored entry: that engine compares with the stored view and drops
 	// the id from its candidates. Every other engine treats the query as
@@ -657,40 +614,30 @@ type TraceQuery struct {
 }
 
 // PrepareTraceQuery builds the corpus-independent representation of a
-// query trace: a defensive copy of the string, its feature map for
-// featured kernels, the prepared sketch query when sketching is enabled,
-// and the self-similarity. The Kast prepared view is deliberately not kept:
-// it depends on each engine's interner, so SimilarTracePrepared builds it
-// per call.
+// query trace: a defensive copy of the string, the prepared sketch query
+// when sketching is enabled, and the self-similarity. The interned view is
+// deliberately not kept: it depends on each engine's interner, so
+// SimilarTracePrepared builds it per call.
 func (e *Engine) PrepareTraceQuery(x token.String) (*TraceQuery, error) {
 	if len(x) == 0 {
 		return nil, fmt.Errorf("engine: empty query string")
 	}
 	tq := &TraceQuery{x: append(token.String(nil), x...)}
-	if e.featured {
-		tq.feats, _ = kernel.Features(e.k, tq.x)
-	}
 	if e.sk != nil {
-		var vec []float64
-		if e.featured {
-			vec = e.sk.SketchFeatures(tq.feats)
-		} else {
-			vec = e.sk.Sketch(tq.x)
-		}
-		tq.sq = e.ix.PrepareQuery(vec)
+		tq.sq = e.ix.PrepareQuery(e.sk.Sketch(tq.x))
 	}
-	// Self-similarity is corpus-independent (for Kast the interned view
-	// only renames literals, never changes the value), so pay for it once
-	// here instead of once per fan-out shard.
+	// Self-similarity is corpus-independent (the interned view only renames
+	// literals, never changes the value), so pay for it once here instead
+	// of once per fan-out shard.
 	qe := e.queryEntry(tq)
-	tq.self = e.compare(qe, qe)
+	tq.self = e.kast.ComparePrepared(qe.prep, qe.prep)
 	return tq, nil
 }
 
 // PrepareStoredQuery builds a by-id TraceQuery from a live corpus entry,
 // reusing everything the engine already holds for it: the stored view,
-// its feature map, its self-similarity and its sketch vector with the
-// stored band signature. No kernel or sketch work is paid. On this engine
+// its self-similarity and its sketch vector with the stored band
+// signature. No kernel or sketch work is paid. On this engine
 // SimilarTracePrepared excludes id from the answer; on any other engine
 // (the sharded fan-out) the query is an ordinary trace. The result aliases
 // engine storage and must be treated as read-only.
@@ -701,7 +648,7 @@ func (e *Engine) PrepareStoredQuery(id int) (*TraceQuery, error) {
 		return nil, fmt.Errorf("engine: no entry with id %d", id)
 	}
 	en := e.entries[id]
-	tq := &TraceQuery{x: en.x, feats: en.feats, self: en.self, owner: e, id: id, stored: en}
+	tq := &TraceQuery{x: en.prep.String(), self: en.self, owner: e, id: id, stored: en}
 	if e.sk != nil {
 		tq.sq = e.ix.SelfQuery(id)
 	}
@@ -748,18 +695,14 @@ func (e *Engine) SimilarTracePrepared(tq *TraceQuery, k, rerank int) ([]Neighbor
 	if e.sk != nil && sq == nil {
 		// Prepared by a sketchless engine; sketch here so the approximate
 		// paths still work.
-		if e.featured {
-			sq = e.ix.PrepareQuery(e.sk.SketchFeatures(qe.feats))
-		} else {
-			sq = e.ix.PrepareQuery(e.sk.Sketch(qe.x))
-		}
+		sq = e.ix.PrepareQuery(e.sk.Sketch(tq.x))
 	}
 	if rerank < 0 {
 		rerank = DefaultRerank(k)
 	}
 
 	e.mu.RLock()
-	if e.kast != nil && e.interner.Stale(qe.prep) {
+	if e.interner.Stale(qe.prep) {
 		// A concurrent Add interned one of the query's unknown literals
 		// between preparation and the lock, so an entry committed before the
 		// lock may carry the table id where the query holds a scratch id.
@@ -798,7 +741,7 @@ func (e *Engine) SimilarTracePrepared(tq *TraceQuery, k, rerank int) ([]Neighbor
 	}
 	e.mu.RUnlock()
 
-	row := e.compareRow(qe, qid, cands, against)
+	row := e.compareRow(qe.prep, qid, cands, against)
 	out := make([]Neighbor, len(cands))
 	for i, c := range cands {
 		v := row[i]
@@ -884,15 +827,10 @@ func before(a, b Neighbor) bool {
 }
 
 // InternerSize returns the number of distinct literals in the shared Kast
-// interner table (0 for non-Kast engines). The table grows only with
-// ingested corpus strings, never with query traffic — the regression tests
-// for the SimilarTrace memory fix assert exactly that.
-func (e *Engine) InternerSize() int {
-	if e.interner == nil {
-		return 0
-	}
-	return e.interner.Size()
-}
+// interner table. The table grows only with ingested corpus strings, never
+// with query traffic — the regression tests for the SimilarTrace memory
+// fix assert exactly that.
+func (e *Engine) InternerSize() int { return e.interner.Size() }
 
 // SketchConfig reports whether sketching is enabled and, if so, the sketch
 // width and seed the engine embeds with.
@@ -931,13 +869,8 @@ func (e *Engine) SketchVec(id int) []float64 {
 // GramAt evaluates, on demand from the cached per-string views, the raw
 // Kast Gram matrix over the live entries at a different cut weight.
 // Prepared views are cut-weight independent, so no cache invalidation is
-// needed; only the pair loop is paid. It returns an error for non-Kast
-// engines, whose cached representations do depend on the kernel parameters.
-func (e *Engine) GramAt(cutWeight int) (*linalg.Matrix, []int, error) {
-	if e.kast == nil {
-		return nil, nil, fmt.Errorf("engine: GramAt requires a Kast kernel, have %s", e.k.Name())
-	}
-	k := &core.Kast{CutWeight: cutWeight, Viability: e.kast.Viability}
-	g, ids, _ := e.gram(func(a, b *entry) float64 { return k.ComparePrepared(a.prep, b.prep) })
-	return g, ids, nil
+// needed; only the pair loop is paid.
+func (e *Engine) GramAt(cutWeight int) (*linalg.Matrix, []int) {
+	g, ids, _ := e.gram(&core.Kast{CutWeight: cutWeight, Viability: e.kast.Viability})
+	return g, ids
 }

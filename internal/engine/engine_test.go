@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"iokast/internal/core"
@@ -25,49 +27,47 @@ func corpus(t testing.TB, nTraces int, seed uint64) []token.String {
 	return core.ConvertAll(ds.Traces[:nTraces], core.Options{})
 }
 
-// TestEngineMatchesBatchGramKast is the tentpole equivalence proof for the
-// Kast path: after N sequential Adds, the engine's snapshot must equal a
-// from-scratch kernel.Gram over the same strings. Both paths sum integer-
-// valued products in float64, which is exact, so equality is bitwise.
+// TestEngineMatchesBatchGramKast is the tentpole equivalence proof: after
+// N sequential Adds, the engine's snapshot must equal a from-scratch
+// kernel.Gram over the same strings, at every cut weight. Both paths sum
+// integer-valued products in float64, which is exact, so equality is
+// bitwise.
 func TestEngineMatchesBatchGramKast(t *testing.T) {
 	xs := corpus(t, 20, 7)
 	for _, cut := range []int{0, 2, 4} {
-		k := &core.Kast{CutWeight: cut}
-		e := New(Options{Kernel: k})
-		for i, x := range xs {
-			if id := e.Add(x); id != i {
-				t.Fatalf("Add #%d returned id %d", i, id)
-			}
-		}
-		got, ids := e.Gram()
-		want := kernel.Gram(k, xs)
-		if len(ids) != len(xs) {
-			t.Fatalf("cut=%d: got %d ids, want %d", cut, len(ids), len(xs))
-		}
-		if d := got.MaxAbsDiff(want); d != 0 {
-			t.Errorf("cut=%d: incremental Gram differs from batch by %g", cut, d)
-		}
+		checkBatchGram(t, xs, &core.Kast{CutWeight: cut})
 	}
 }
 
-// TestEngineMatchesBatchGramFeaturer checks the cached-feature-map path
-// (baseline kernels) is bit-identical to kernel.Gram's featurer fast path.
-func TestEngineMatchesBatchGramFeaturer(t *testing.T) {
+// TestEngineMatchesBatchGramKastVariants runs the same proof over a second
+// corpus at cut 1 and under the total-weight viability rule.
+func TestEngineMatchesBatchGramKastVariants(t *testing.T) {
 	xs := corpus(t, 20, 11)
-	kernels := []kernel.Kernel{
-		&kernel.Spectrum{K: 3},
-		&kernel.Blended{P: 4, CutWeight: 2},
+	for _, k := range []*core.Kast{
+		{CutWeight: 1},
+		{CutWeight: 2, Viability: core.ViaTotalWeight},
+	} {
+		checkBatchGram(t, xs, k)
 	}
-	for _, k := range kernels {
-		e := New(Options{Kernel: k})
-		for _, x := range xs {
-			e.Add(x)
+}
+
+// checkBatchGram adds xs to a fresh engine one by one and asserts that its
+// snapshot equals kernel.Gram(k, xs) bit for bit.
+func checkBatchGram(t *testing.T, xs []token.String, k *core.Kast) {
+	t.Helper()
+	e := New(Options{Kernel: k})
+	for i, x := range xs {
+		if id := e.Add(x); id != i {
+			t.Fatalf("%s: Add #%d returned id %d", k.Name(), i, id)
 		}
-		got, _ := e.Gram()
-		want := kernel.Gram(k, xs)
-		if d := got.MaxAbsDiff(want); d != 0 {
-			t.Errorf("%s: incremental Gram differs from batch by %g", k.Name(), d)
-		}
+	}
+	got, ids := e.Gram()
+	want := kernel.Gram(k, xs)
+	if len(ids) != len(xs) {
+		t.Fatalf("%s: got %d ids, want %d", k.Name(), len(ids), len(xs))
+	}
+	if d := got.MaxAbsDiff(want); d != 0 {
+		t.Errorf("%s: incremental Gram differs from batch by %g", k.Name(), d)
 	}
 }
 
@@ -179,10 +179,7 @@ func TestEngineGramAt(t *testing.T) {
 		e.Add(x)
 	}
 	for _, cut := range []int{1, 3, 6} {
-		got, ids, err := e.GramAt(cut)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, ids := e.GramAt(cut)
 		if len(ids) != len(xs) {
 			t.Fatalf("GramAt(%d): %d ids", cut, len(ids))
 		}
@@ -191,24 +188,33 @@ func TestEngineGramAt(t *testing.T) {
 			t.Errorf("GramAt(%d) differs from batch by %g", cut, d)
 		}
 	}
-	if _, _, err := New(Options{Kernel: &kernel.Spectrum{K: 2}}).GramAt(3); err == nil {
-		t.Fatal("GramAt on a non-Kast engine succeeded")
-	}
 }
 
-// TestEngineNonFeaturerKernel covers the generic fallback path (a kernel
-// that is neither Kast nor a featurer).
-func TestEngineNonFeaturerKernel(t *testing.T) {
-	xs := corpus(t, 8, 13)
-	k := kernel.Normalized{K: &core.Kast{CutWeight: 2}}
-	e := New(Options{Kernel: k})
-	for _, x := range xs {
-		e.Add(x)
+// TestNewRefusesNonKast: the engine runs Kast alone. KastKernel refuses
+// every other kernel with an error that names it, and New panics with the
+// same message; nil resolves to the paper default.
+func TestNewRefusesNonKast(t *testing.T) {
+	for _, k := range []kernel.Kernel{
+		&kernel.Spectrum{K: 3, Mode: kernel.Count},
+		&kernel.Blended{P: 5, CutWeight: 2},
+		&kernel.BagOfTokens{},
+		&kernel.Subsequence{P: 2, Lambda: 0.7},
+		kernel.Normalized{K: &core.Kast{CutWeight: 2}},
+	} {
+		if _, err := KastKernel(k); err == nil || !strings.Contains(err.Error(), k.Name()) {
+			t.Errorf("KastKernel(%s) = %v, want an error naming the kernel", k.Name(), err)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), k.Name()) {
+					t.Errorf("New(%s) panicked with %v, want a message naming the kernel", k.Name(), r)
+				}
+			}()
+			New(Options{Kernel: k})
+		}()
 	}
-	got, _ := e.Gram()
-	want := kernel.Gram(k, xs)
-	if d := got.MaxAbsDiff(want); d > 1e-15 {
-		t.Errorf("generic path differs from batch by %g", d)
+	if k, err := KastKernel(nil); err != nil || k.CutWeight != 2 || k.Viability != core.ViaMaxOccurrence {
+		t.Fatalf("KastKernel(nil) = %v, %v; want the paper default", k, err)
 	}
 }
 
@@ -239,10 +245,10 @@ func TestEngineDefaultKernel(t *testing.T) {
 // must not corrupt the corpus.
 func TestEngineAddDoesNotAliasCaller(t *testing.T) {
 	x := token.String{{Literal: "a", Weight: 5}, {Literal: "b", Weight: 5}}
-	for _, k := range []kernel.Kernel{
-		&core.Kast{CutWeight: 2},
-		&kernel.Spectrum{K: 1},
-		kernel.Normalized{K: &core.Kast{CutWeight: 2}},
+	for _, k := range []*core.Kast{
+		{CutWeight: 2},
+		{CutWeight: 0},
+		{CutWeight: 2, Viability: core.ViaTotalWeight},
 	} {
 		e := New(Options{Kernel: k})
 		e.Add(x)

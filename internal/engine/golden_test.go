@@ -51,25 +51,3 @@ func TestEngineGoldenNormalizedPipeline(t *testing.T) {
 		t.Errorf("clipped eigenvalues: engine %d, batch %d", gotClipped, wantClipped)
 	}
 }
-
-// TestEngineGoldenCosinePipeline is the same contract for a baseline
-// (featurer) kernel against the CosineSimilarity batch pipeline.
-func TestEngineGoldenCosinePipeline(t *testing.T) {
-	xs := corpus(t, 25, 4242)
-	k := &kernel.Blended{P: 3}
-	e := New(Options{Kernel: k})
-	for _, x := range xs {
-		e.Add(x)
-	}
-	got, _, _, err := e.NormalizedGram()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := kernel.PSDRepair(kernel.NormalizeCosine(kernel.Gram(k, xs)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := got.MaxAbsDiff(want); d > 1e-12 {
-		t.Errorf("incremental cosine pipeline differs from batch by %g (tol 1e-12)", d)
-	}
-}

@@ -84,7 +84,7 @@ func (e *Engine) snapshotLocked(w io.Writer) error {
 	if _, err := cw.Write([]byte{snapshotVersion}); err != nil {
 		return fmt.Errorf("engine: snapshot: %w", err)
 	}
-	name := e.k.Name()
+	name := e.kast.Name()
 	if err := writeUvarint(uint64(len(name))); err != nil {
 		return fmt.Errorf("engine: snapshot: %w", err)
 	}
@@ -111,7 +111,7 @@ func (e *Engine) snapshotLocked(w io.Writer) error {
 		if _, err := cw.Write([]byte{1}); err != nil {
 			return fmt.Errorf("engine: snapshot: %w", err)
 		}
-		text := en.x.Format()
+		text := en.prep.String().Format()
 		if err := writeUvarint(uint64(len(text))); err != nil {
 			return fmt.Errorf("engine: snapshot: %w", err)
 		}
@@ -228,9 +228,9 @@ func (c *crcByteReader) Read(p []byte) (int, error) {
 const maxSnapshotEntry = 64 << 20
 
 // Restore loads a snapshot written by Snapshot into an empty engine
-// configured with the same kernel. Per-string representations (feature
-// maps, interned Kast views) are rebuilt from the canonical strings; the
-// self-similarities are restored from their persisted bits.
+// configured with the same kernel. The interned views are rebuilt from the
+// canonical strings; the self-similarities are restored from their
+// persisted bits.
 func (e *Engine) Restore(r io.Reader) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -260,7 +260,7 @@ func (e *Engine) Restore(r io.Reader) error {
 	if _, err := io.ReadFull(cr, nameBuf); err != nil {
 		return fmt.Errorf("engine: restore kernel name: %w", err)
 	}
-	if got, want := string(nameBuf), e.k.Name(); got != want {
+	if got, want := string(nameBuf), e.kast.Name(); got != want {
 		return fmt.Errorf("engine: snapshot kernel %q does not match engine kernel %q", got, want)
 	}
 	var seqBuf [8]byte

@@ -7,19 +7,18 @@ import (
 	"testing"
 
 	"iokast/internal/core"
-	"iokast/internal/kernel"
 	"iokast/internal/matrixio"
 	"iokast/internal/token"
 )
 
 // TestAddBatchMatchesSequential: a batch insert must leave the engine in
 // exactly the state m sequential Adds would — same ids, bitwise-equal Gram
-// matrix — for both the Kast and the featured-kernel paths.
+// matrix — under either viability rule.
 func TestAddBatchMatchesSequential(t *testing.T) {
 	xs := corpus(t, 24, 11)
-	for _, kern := range []kernel.Kernel{
-		&core.Kast{CutWeight: 2},
-		&kernel.Spectrum{K: 3, Mode: kernel.Count, CutWeight: 2},
+	for _, kern := range []*core.Kast{
+		{CutWeight: 2},
+		{CutWeight: 2, Viability: core.ViaTotalWeight},
 	} {
 		seqEng := New(Options{Kernel: kern})
 		for _, x := range xs {
@@ -174,7 +173,7 @@ func TestRestoreRejects(t *testing.T) {
 		t.Error("Restore into non-empty engine did not fail")
 	}
 
-	other := New(Options{Kernel: &kernel.Spectrum{K: 3, Mode: kernel.Count, CutWeight: 2}})
+	other := New(Options{Kernel: &core.Kast{CutWeight: 2, Viability: core.ViaTotalWeight}})
 	if err := other.Restore(bytes.NewReader(good)); err == nil {
 		t.Error("Restore with mismatched kernel did not fail")
 	}

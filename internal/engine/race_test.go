@@ -95,7 +95,7 @@ func TestEngineConcurrentAddGram(t *testing.T) {
 // TestEngineConcurrentRemove interleaves Remove with Add and readers.
 func TestEngineConcurrentRemove(t *testing.T) {
 	xs := corpus(t, 20, 123)
-	e := New(Options{Kernel: &kernel.Spectrum{K: 2}})
+	e := New(Options{Kernel: &core.Kast{CutWeight: 1}})
 	ids := make(chan int, len(xs))
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -129,7 +129,7 @@ func TestEngineConcurrentRemove(t *testing.T) {
 	}
 	final, _ := e.Gram()
 	got, _ := e.Strings()
-	want := kernel.Gram(&kernel.Spectrum{K: 2}, got)
+	want := kernel.Gram(&core.Kast{CutWeight: 1}, got)
 	if d := final.MaxAbsDiff(want); d != 0 {
 		t.Errorf("post-race Gram differs from batch by %g", d)
 	}

@@ -87,19 +87,58 @@ func spreadCorpus(t *testing.T, n int, seed uint64) []token.String {
 	return xs
 }
 
+// heavyCorpus returns n strings of 9 tokens over three literals, with
+// weights drawn from [2^40, 2^40+2^20]. At such weights Kast is not
+// symmetric in floating point: Compare(a, b) and Compare(b, a) differ in
+// the last bits for many pairs.
+func heavyCorpus(n int) []token.String {
+	r := xrand.New(40)
+	xs := make([]token.String, n)
+	for i := range xs {
+		x := make(token.String, 9)
+		for j := range x {
+			x[j] = token.Token{Literal: string(rune('p' + r.Intn(3))), Weight: r.IntRange(1<<40, 1<<40+1<<20)}
+		}
+		xs[i] = x
+	}
+	return xs
+}
+
+// asymmetricPairs counts the pairs of xs whose kernel value depends on the
+// argument order.
+func asymmetricPairs(k *core.Kast, xs []token.String) int {
+	n := 0
+	for i := range xs {
+		for j := i + 1; j < len(xs); j++ {
+			if math.Float64bits(k.Compare(xs[i], xs[j])) != math.Float64bits(k.Compare(xs[j], xs[i])) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // TestByIDMatchesBruteForceGram: by-id answers are computed on demand, so
 // they must equal the cosine over a from-scratch kernel.Gram bit for bit
-// after every kind of mutation and after a snapshot restore. The plain
-// Subsequence kernel is not symmetric in floating point, which pins the
-// argument order of on-demand pairs to kernel.Gram's (lower id first).
+// after every kind of mutation and after a snapshot restore. The heavy
+// corpus is not symmetric in floating point, which pins the argument order
+// of on-demand pairs to kernel.Gram's (lower id first).
 func TestByIDMatchesBruteForceGram(t *testing.T) {
-	xs := spreadCorpus(t, 14, 21)
-	for _, kern := range []kernel.Kernel{
-		&core.Kast{CutWeight: 2},
-		&kernel.Spectrum{K: 3, Mode: kernel.Count, CutWeight: 2},
-		&kernel.Subsequence{P: 2, Lambda: 0.7, Weighted: true},
+	spread, heavy := spreadCorpus(t, 14, 21), heavyCorpus(14)
+	if asymmetricPairs(&core.Kast{CutWeight: 2}, heavy) == 0 {
+		t.Fatal("heavy corpus is symmetric in floating point: it cannot pin the argument order")
+	}
+	for _, c := range []struct {
+		name string
+		kern *core.Kast
+		xs   []token.String
+	}{
+		{"", &core.Kast{CutWeight: 2}, spread},
+		{"", &core.Kast{CutWeight: 4, Viability: core.ViaTotalWeight}, spread},
+		{"heavy-", &core.Kast{CutWeight: 2}, heavy},
 	} {
-		t.Run(kern.Name(), func(t *testing.T) {
+		kern, xs := c.kern, c.xs
+		t.Run(c.name+kern.Name(), func(t *testing.T) {
 			opt := Options{Kernel: kern, SketchDim: 32, SketchSeed: 3, ANNBands: 4, ANNRows: 4}
 			e := New(opt)
 			if _, err := e.AddBatch(xs[:8]); err != nil {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"iokast/internal/core"
-	"iokast/internal/kernel"
 	"iokast/internal/token"
 )
 
@@ -25,9 +24,9 @@ func sketchStatesEqual(t *testing.T, a, b *Engine) {
 // bit-identical because sketches depend only on (string, dim, seed).
 func TestSketchIncrementalVsBatchEquivalence(t *testing.T) {
 	xs := corpus(t, 24, 5)
-	for _, kern := range []kernel.Kernel{
-		&core.Kast{CutWeight: 2},
-		&kernel.Blended{P: 4, CutWeight: 2},
+	for _, kern := range []*core.Kast{
+		{CutWeight: 2},
+		{CutWeight: 4},
 	} {
 		opts := Options{Kernel: kern, SketchDim: 64, SketchSeed: 17}
 		inc := New(opts)

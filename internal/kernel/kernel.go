@@ -76,29 +76,12 @@ func (n Normalized) Compare(a, b token.String) float64 {
 }
 
 // featurer is implemented by kernels whose Compare is an inner product of a
-// per-string feature map; Gram uses it to cache feature maps and avoid
-// recomputing them for every pair.
+// per-string feature map (the baseline kernels in this package); Gram uses
+// it to compute each string's map once and reduce every pair to a sparse
+// dot product (dotFeatures).
 type featurer interface {
 	features(x token.String) map[string]float64
 }
-
-// Features returns k's feature map for x when k's Compare is an inner
-// product of per-string feature maps (the baseline kernels in this
-// package), and ok=false otherwise. Callers that hold strings across many
-// Compare calls — kernel.Gram internally, and the incremental engine — use
-// it to compute each string's map once and reduce every later kernel
-// evaluation to a sparse dot product (DotFeatures).
-func Features(k Kernel, x token.String) (feats map[string]float64, ok bool) {
-	f, ok := k.(featurer)
-	if !ok {
-		return nil, false
-	}
-	return f.features(x), true
-}
-
-// DotFeatures computes the kernel value from two feature maps obtained via
-// Features.
-func DotFeatures(fa, fb map[string]float64) float64 { return dotFeatures(fa, fb) }
 
 // dotFeatures computes the sparse inner product of two feature maps,
 // iterating over the smaller one. The per-term products are collected and

@@ -62,22 +62,21 @@ func TestGramConcurrentSameKernel(t *testing.T) {
 	}
 }
 
-// TestFeaturesFastPathMatchesCompare pins the featurer fast path (cached
-// feature maps + DotFeatures) to the kernel's own Compare.
+// TestFeaturesFastPathMatchesCompare pins Gram's featurer fast path
+// (cached feature maps + dotFeatures) to the kernel's own Compare.
 func TestFeaturesFastPathMatchesCompare(t *testing.T) {
 	a := token.String{{Literal: "x", Weight: 4}, {Literal: "y", Weight: 2}, {Literal: "x", Weight: 4}}
 	b := token.String{{Literal: "y", Weight: 3}, {Literal: "x", Weight: 5}}
 	for _, k := range []Kernel{&Spectrum{K: 1}, &Spectrum{K: 2}, &Blended{P: 3}} {
-		fa, ok := Features(k, a)
+		f, ok := k.(featurer)
 		if !ok {
 			t.Fatalf("%s does not expose features", k.Name())
 		}
-		fb, _ := Features(k, b)
-		if got, want := DotFeatures(fa, fb), k.Compare(a, b); got != want {
-			t.Errorf("%s: DotFeatures = %g, Compare = %g", k.Name(), got, want)
+		if got, want := dotFeatures(f.features(a), f.features(b)), k.Compare(a, b); got != want {
+			t.Errorf("%s: dotFeatures = %g, Compare = %g", k.Name(), got, want)
 		}
 	}
-	if _, ok := Features(Normalized{K: &Spectrum{K: 1}}, a); ok {
+	if _, ok := Kernel(Normalized{K: &Spectrum{K: 1}}).(featurer); ok {
 		t.Error("Normalized unexpectedly exposes features")
 	}
 }

@@ -70,7 +70,7 @@ func TestSimilarTraceSketchesOnce(t *testing.T) {
 	queries := corpus(t, 24, 4)[20:]
 	for _, spec := range []cli.KernelSpec{
 		{Name: "kast", CutWeight: 2},
-		{Name: "blended"},
+		{Name: "kast", CutWeight: 4},
 	} {
 		kern, err := spec.Build()
 		if err != nil {
@@ -89,7 +89,7 @@ func TestSimilarTraceSketchesOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			if ops := sketch.SketchOps() - before; ops != 1 {
-				t.Fatalf("%s query %d: %d sketch operations for one fan-out, want 1", spec.Name, qi, ops)
+				t.Fatalf("cut %d query %d: %d sketch operations for one fan-out, want 1", spec.CutWeight, qi, ops)
 			}
 		}
 	}

@@ -11,9 +11,9 @@
 // per-shard top-k lists: every member of the global top-k is in the top-k
 // of its own shard, so fetching k candidates from each shard and re-sorting
 // by (score, id) reproduces the single-engine answer bit for bit (the
-// Kast and feature-map kernels accumulate integer-valued products in
-// float64, which is exact, so a score computed in any shard's interner
-// equals the score the single engine computes).
+// Kast kernel accumulates integer-valued products in float64, which is
+// exact, so a score computed in any shard's interner equals the score the
+// single engine computes).
 //
 // What the supervisor buys: each shard has its own write lock, WAL and
 // snapshot chain, a query's kernel work is spread over the shards in

@@ -11,8 +11,8 @@ import (
 	"sync"
 	"time"
 
+	"iokast/internal/core"
 	"iokast/internal/engine"
-	"iokast/internal/kernel"
 	"iokast/internal/matrixio"
 	"iokast/internal/obs"
 	"iokast/internal/store"
@@ -105,6 +105,9 @@ func open(dir string, opt Options) (*Sharded, error) {
 	}
 	if opt.Engine.Log != nil {
 		return nil, fmt.Errorf("shard: Engine.Log must be nil (each shard's store attaches its own log)")
+	}
+	if _, err := engine.KastKernel(opt.Engine.Kernel); err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
 	}
 
 	// A throwaway engine resolves the option defaults (nil kernel, zero
@@ -309,8 +312,8 @@ func (s *Sharded) owner(id int) *engine.Engine {
 const exactRerank = math.MaxInt
 
 // storedQuery prepares the fan-out query for a live global id from the
-// owner engine's stored state — view, feature map, self-similarity, sketch
-// vector, band signature — without recomputing any of it: the embedding
+// owner engine's stored state — view, self-similarity, sketch vector,
+// band signature — without recomputing any of it: the embedding
 // was paid at ingest, never per query. The owner engine excludes the id
 // from its own candidates; the other shards see a trace.
 func (s *Sharded) storedQuery(id int) (*engine.TraceQuery, error) {
@@ -352,8 +355,8 @@ func (s *Sharded) shardRerank(k, rerank int) int {
 
 // prepareQuery builds the shared trace query once, on shard 0's engine.
 // Every shard engine is built from the same Options, so the prepared
-// sketch vector, band signature, and feature map are valid on all of them
-// — the fan-out pays the embedding cost once, not once per shard.
+// sketch vector, band signature, and self-similarity are valid on all of
+// them — the fan-out pays the embedding cost once, not once per shard.
 func (s *Sharded) prepareQuery(x token.String) (*engine.TraceQuery, error) {
 	return s.engines[0].PrepareTraceQuery(x)
 }
@@ -408,8 +411,8 @@ func (s *Sharded) query(tq *engine.TraceQuery, k, rerank int) ([]engine.Neighbor
 
 // Similar returns the k live entries most similar to the given global id,
 // bit-identical to what a single engine over the same corpus would return
-// (same ids, same float bits, same order) for kernels symmetric in
-// floating point, Kast and the featured kernels among them. Every shard
+// (same ids, same float bits, same order) wherever Kast is symmetric in
+// floating point, which it is at the weights real traces carry. Every shard
 // runs the exact path in parallel, one kernel evaluation per live entry;
 // the owner shard drops the query's own id before truncating.
 func (s *Sharded) Similar(id, k int) ([]engine.Neighbor, error) {
@@ -473,7 +476,7 @@ func (s *Sharded) Shards() int { return s.n }
 func (s *Sharded) Seed() uint64 { return s.seed }
 
 // Kernel returns the kernel every shard engine runs.
-func (s *Sharded) Kernel() kernel.Kernel { return s.engines[0].Kernel() }
+func (s *Sharded) Kernel() *core.Kast { return s.engines[0].Kernel() }
 
 // SketchConfig reports the shared sketch configuration of the shards.
 func (s *Sharded) SketchConfig() (dim int, seed uint64, enabled bool) {

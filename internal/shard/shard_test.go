@@ -15,6 +15,7 @@ import (
 	"iokast/internal/core"
 	"iokast/internal/engine"
 	"iokast/internal/iogen"
+	"iokast/internal/kernel"
 	"iokast/internal/matrixio"
 	"iokast/internal/store"
 	"iokast/internal/token"
@@ -167,6 +168,32 @@ func TestOpenRefusesMismatchedManifest(t *testing.T) {
 	}
 	if _, err := Open(dir, opt); err == nil {
 		t.Fatal("corrupt manifest accepted")
+	}
+}
+
+// TestRefusesNonKastKernel: the corpus runs Kast only. New and Open refuse
+// any other kernel with an error that names it, at every shard count and
+// before anything is written to the directory.
+func TestRefusesNonKastKernel(t *testing.T) {
+	for _, k := range []kernel.Kernel{
+		&kernel.Blended{P: 5},
+		&kernel.Spectrum{K: 3, Mode: kernel.Count},
+		&kernel.BagOfTokens{},
+		kernel.Normalized{K: &core.Kast{CutWeight: 2}},
+	} {
+		for _, shards := range []int{1, 3} {
+			opt := Options{Shards: shards, Engine: engine.Options{Kernel: k}}
+			if _, err := New(opt); err == nil || !strings.Contains(err.Error(), k.Name()) {
+				t.Errorf("New(%s, %d shards) = %v, want an error naming the kernel", k.Name(), shards, err)
+			}
+			dir := filepath.Join(t.TempDir(), "corpus")
+			if _, err := Open(dir, opt); err == nil || !strings.Contains(err.Error(), k.Name()) {
+				t.Errorf("Open(%s, %d shards) = %v, want an error naming the kernel", k.Name(), shards, err)
+			}
+			if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("Open(%s) created the directory: %v", k.Name(), err)
+			}
+		}
 	}
 }
 

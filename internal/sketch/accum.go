@@ -20,10 +20,7 @@ import "iokast/internal/token"
 // any real window. Vector therefore returns bit-identical output to
 // Sketcher.Sketch of the window token string, which the tests pin.
 //
-// Accum tracks the windowed-substring embedding (Sketcher.Sketch), the
-// one used for the Kast kernel; featured kernels embed via
-// SketchFeatures, which has no incremental form here. An Accum is not
-// safe for concurrent use.
+// An Accum is not safe for concurrent use.
 type Accum struct {
 	s *Sketcher
 	// vec is the unnormalised window sketch.
@@ -70,10 +67,7 @@ func (a *Accum) pos(i int) *accumPos {
 func (a *Accum) Append(t token.Token) {
 	th := hashString(t.Literal)
 	// Extend the most recent starts: the one k back reaches length k+1.
-	m := a.s.maxLen - 1
-	if m > a.n {
-		m = a.n
-	}
+	m := min(MaxLen-1, a.n)
 	for k := 1; k <= m; k++ {
 		p := a.pos(a.n - k)
 		p.h = p.h*polyBase + th
@@ -93,10 +87,7 @@ func (a *Accum) Append(t token.Token) {
 // vector and records it for eviction, mirroring Sketcher.accumulate (and
 // Sketch's length folding) exactly.
 func (a *Accum) add(p *accumPos, l int) {
-	v := 1.0
-	if !a.s.count {
-		v = float64(p.w)
-	}
+	v := float64(p.w)
 	h := mix64(mix64(p.h^uint64(l)*lenSalt) ^ a.s.seed)
 	if h>>63 != 0 {
 		v = -v

@@ -11,7 +11,6 @@ import (
 	"math"
 	"testing"
 
-	"iokast/internal/kernel"
 	"iokast/internal/sketch"
 	"iokast/internal/token"
 )
@@ -262,10 +261,9 @@ func annRecallAt10(flat, ann *sketch.Index, vecs [][]float64, stride int) float6
 
 // TestANNRecall4096 asserts recall@10 >= 0.9 at N=4096 with the default
 // banding, against the flat scan as ground truth, for sketches built the
-// way each engine kernel builds them: the windowed-substring embedding
-// (what every Kast engine uses — the embedding is cut-weight independent,
-// so one corpus covers cut 2 and cut 4 alike) and the feature-map
-// embedding of the featured kernels (Blended, Spectrum).
+// way the engine builds them: the windowed-substring embedding (the
+// embedding is cut-weight independent, so one corpus covers cut 2 and cut
+// 4 alike).
 func TestANNRecall4096(t *testing.T) {
 	if testing.Short() {
 		t.Skip("N=4096 recall corpus is a few seconds of work")
@@ -275,49 +273,26 @@ func TestANNRecall4096(t *testing.T) {
 		t.Fatalf("corpus size %d, want 4096", len(xs))
 	}
 	sk := sketch.New(sketch.Options{Seed: 1})
-
-	embeddings := []struct {
-		name string
-		vec  func(x token.String) []float64
-	}{
-		{"kast-windows(cut2+cut4)", func(x token.String) []float64 { return sk.Sketch(x) }},
-		{"blended-features", func(x token.String) []float64 {
-			f, ok := kernel.Features(&kernel.Blended{P: 5, CutWeight: 2}, x)
-			if !ok {
-				t.Fatal("Blended is not featured")
+	t.Run("kast-windows(cut2+cut4)", func(t *testing.T) {
+		flat := sketch.NewIndex(sk.Dim())
+		ann := sketch.NewIndexANN(sk.Dim(), sketch.DefaultBands, sketch.DefaultRows, 1)
+		vecs := make([][]float64, len(xs))
+		for id, x := range xs {
+			vecs[id] = sk.Sketch(x)
+			if err := flat.Add(id, vecs[id]); err != nil {
+				t.Fatal(err)
 			}
-			return sk.SketchFeatures(f)
-		}},
-		{"spectrum-features", func(x token.String) []float64 {
-			f, ok := kernel.Features(&kernel.Spectrum{K: 3, Mode: kernel.Count}, x)
-			if !ok {
-				t.Fatal("Spectrum is not featured")
+			if err := ann.Add(id, vecs[id]); err != nil {
+				t.Fatal(err)
 			}
-			return sk.SketchFeatures(f)
-		}},
-	}
-	for _, emb := range embeddings {
-		t.Run(emb.name, func(t *testing.T) {
-			flat := sketch.NewIndex(sk.Dim())
-			ann := sketch.NewIndexANN(sk.Dim(), sketch.DefaultBands, sketch.DefaultRows, 1)
-			vecs := make([][]float64, len(xs))
-			for id, x := range xs {
-				vecs[id] = emb.vec(x)
-				if err := flat.Add(id, vecs[id]); err != nil {
-					t.Fatal(err)
-				}
-				if err := ann.Add(id, vecs[id]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			recall := annRecallAt10(flat, ann, vecs, 64)
-			t.Logf("%s: ANN recall@10 = %.3f at N=%d (bands=%d rows=%d)",
-				emb.name, recall, len(xs), sketch.DefaultBands, sketch.DefaultRows)
-			if recall < 0.9 {
-				t.Errorf("%s: ANN recall@10 = %.3f, want >= 0.9", emb.name, recall)
-			}
-		})
-	}
+		}
+		recall := annRecallAt10(flat, ann, vecs, 64)
+		t.Logf("ANN recall@10 = %.3f at N=%d (bands=%d rows=%d)",
+			recall, len(xs), sketch.DefaultBands, sketch.DefaultRows)
+		if recall < 0.9 {
+			t.Errorf("ANN recall@10 = %.3f, want >= 0.9", recall)
+		}
+	})
 }
 
 // TestANNPreparedQuerySharing asserts the fan-out contract: a query

@@ -8,15 +8,16 @@
 // The embedding is the classic hashed feature map ("feature hashing" /
 // signed random projections, in the spirit of Tabei et al.'s space-
 // efficient feature maps for alignment kernels and Wu et al.'s random
-// features for global string kernels): every substring feature the string
-// kernels in this project extract is hashed to one of Dim buckets with a
-// pseudo-random sign, and its feature value is accumulated there. The dot
-// product of two sketches is then an unbiased estimate of the inner
-// product of the underlying feature vectors, so the cosine of two sketches
-// tracks the cosine-normalised kernel value. The estimate is only used to
-// shortlist candidates; callers rerank the shortlist with the exact kernel
-// (see engine.SimilarApprox), which restores exact top-k results whenever
-// the shortlist covers them.
+// features for global string kernels): every contiguous substring of 1 to
+// MaxLen tokens is hashed to one of Dim buckets with a pseudo-random sign,
+// and its occurrence weight is accumulated there. The dot product of two
+// sketches is then an unbiased estimate of the inner product of these
+// window feature vectors, which tracks the Kast kernel's shared-substring
+// similarity without reproducing its ordering (Kast's feature set is
+// pair-dependent). The estimate is only used to shortlist candidates; the
+// engine reranks the shortlist with the exact Kast kernel (see
+// engine.SimilarApprox), which restores exact top-k results whenever the
+// shortlist covers them.
 //
 // # Candidate generation
 //

@@ -15,7 +15,6 @@ import (
 	"iokast/internal/core"
 	"iokast/internal/engine"
 	"iokast/internal/iogen"
-	"iokast/internal/kernel"
 	"iokast/internal/sketch"
 	"iokast/internal/token"
 )
@@ -23,7 +22,7 @@ import (
 // recallCorpus builds a moderate labelled corpus: 13 base traces across
 // the paper's four categories, each with mutated copies — large enough
 // that top-10 neighbourhoods are meaningful, small enough that every
-// kernel config's full Gram stays cheap.
+// cut weight's full Gram stays cheap.
 func recallCorpus(t testing.TB, seed uint64) []token.String {
 	t.Helper()
 	ds, err := iogen.Build(iogen.Options{
@@ -43,18 +42,12 @@ func recallCorpus(t testing.TB, seed uint64) []token.String {
 	return core.ConvertAll(ds.Traces, core.Options{})
 }
 
-// kernelConfigs spans the kernels and cut weights the engine serves.
-func kernelConfigs() []kernel.Kernel {
-	return []kernel.Kernel{
-		&core.Kast{CutWeight: 2},
-		&core.Kast{CutWeight: 4},
-		&kernel.Blended{P: 5, CutWeight: 2},
-		&kernel.Spectrum{K: 3, Mode: kernel.Count},
-		&kernel.BagOfTokens{},
-	}
+// kernelConfigs spans the cut weights the engine serves.
+func kernelConfigs() []*core.Kast {
+	return []*core.Kast{{CutWeight: 2}, {CutWeight: 4}}
 }
 
-func buildEngine(t testing.TB, k kernel.Kernel, xs []token.String) *engine.Engine {
+func buildEngine(t testing.TB, k *core.Kast, xs []token.String) *engine.Engine {
 	t.Helper()
 	e := engine.New(engine.Options{Kernel: k})
 	if _, err := e.AddBatch(xs); err != nil {
@@ -92,7 +85,7 @@ func recallAt10(t *testing.T, e *engine.Engine, n int, approx func(id int) []eng
 // TestRecallAt10 asserts recall@10 >= 0.9 for the approximate query path
 // at its default settings (sketch shortlist + exact rerank of the default
 // over-fetch) against exact Similar, averaged over every query id, for
-// every kernel/cut-weight config at the default sketch width.
+// every cut weight at the default sketch width.
 func TestRecallAt10(t *testing.T) {
 	xs := recallCorpus(t, 1)
 	for _, kern := range kernelConfigs() {
@@ -130,39 +123,6 @@ func TestShortlistCoverage(t *testing.T) {
 		t.Logf("%s: shortlist-%d coverage of exact top-10 = %.3f", kern.Name(), shortlist, cov)
 		if cov < 0.9 {
 			t.Errorf("%s: shortlist coverage = %.3f, want >= 0.9", kern.Name(), cov)
-		}
-	}
-}
-
-// TestSketchOnlyRecallFeatured asserts the stronger bar for the featured
-// kernels, whose sketches hash their own feature maps and therefore
-// estimate the kernel's true cosine: even without any rerank, top-10
-// recall stays >= 0.9.
-//
-// The Kast kernel is deliberately excluded here: its feature set is
-// pair-dependent and its cosine-on-raw-Gram similarity is not a true
-// cosine (values above 1 occur, and near-duplicate pairs can rank below
-// structurally diverse ones), so no fixed per-string embedding can
-// reproduce the exact ranking without the rerank step. Its shortlist
-// coverage — the property the approximate path actually needs — is
-// asserted above.
-func TestSketchOnlyRecallFeatured(t *testing.T) {
-	xs := recallCorpus(t, 1)
-	for _, kern := range kernelConfigs() {
-		if _, ok := kernel.Features(kern, nil); !ok {
-			continue
-		}
-		e := buildEngine(t, kern, xs)
-		recall := recallAt10(t, e, len(xs), func(id int) []engine.Neighbor {
-			ns, err := e.SimilarApprox(id, 10, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ns
-		})
-		t.Logf("%s: sketch-only recall@10 = %.3f", kern.Name(), recall)
-		if recall < 0.9 {
-			t.Errorf("%s: sketch-only recall@10 = %.3f, want >= 0.9", kern.Name(), recall)
 		}
 	}
 }
@@ -237,7 +197,7 @@ func TestSimilarTraceMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func buildANNEngine(t testing.TB, k kernel.Kernel, xs []token.String) *engine.Engine {
+func buildANNEngine(t testing.TB, k *core.Kast, xs []token.String) *engine.Engine {
 	t.Helper()
 	e := engine.New(engine.Options{Kernel: k, ANNBands: sketch.DefaultBands, ANNRows: sketch.DefaultRows})
 	if _, err := e.AddBatch(xs); err != nil {
@@ -248,8 +208,8 @@ func buildANNEngine(t testing.TB, k kernel.Kernel, xs []token.String) *engine.En
 
 // TestANNRecallAt10 is TestRecallAt10 with LSH-banded candidate
 // generation enabled: recall@10 must stay >= 0.9 at the default rerank
-// for every kernel/cut-weight config when the shortlist comes from the
-// banded index instead of the flat sketch scan.
+// for every cut weight when the shortlist comes from the banded index
+// instead of the flat sketch scan.
 func TestANNRecallAt10(t *testing.T) {
 	xs := recallCorpus(t, 1)
 	for _, kern := range kernelConfigs() {
@@ -323,7 +283,7 @@ func TestANNRerankMatchesExact(t *testing.T) {
 // bruteForceNeighbors is the exact reference for query-by-trace: score
 // every corpus string with the raw kernel, cosine-normalise, sort by
 // decreasing similarity with ties by ascending id.
-func bruteForceNeighbors(kern kernel.Kernel, xs []token.String, q token.String, k int) []engine.Neighbor {
+func bruteForceNeighbors(kern *core.Kast, xs []token.String, q token.String, k int) []engine.Neighbor {
 	self := kern.Compare(q, q)
 	out := make([]engine.Neighbor, len(xs))
 	for id, x := range xs {

@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"iokast/internal/token"
@@ -14,26 +13,25 @@ import (
 // must not re-sketch a query per shard).
 var sketchOps atomic.Uint64
 
-// SketchOps returns the cumulative number of Sketch/SketchFeatures calls
-// in this process. Tests diff it around an operation to count embeddings.
+// SketchOps returns the cumulative number of Sketch calls in this
+// process. Tests diff it around an operation to count embeddings.
 func SketchOps() uint64 { return sketchOps.Load() }
 
-// Defaults for Options.
 const (
 	// DefaultDim is the sketch width used when Options.Dim is 0. At 256
 	// buckets the hashed estimate separates the paper's trace categories
 	// with recall@10 >= 0.9 (asserted by the package's recall tests) while
 	// a corpus scan stays a few hundred multiply-adds per entry.
 	DefaultDim = 256
-	// DefaultMaxLen is the longest substring hashed by Sketch when
-	// Options.MaxLen is 0. Eight tokens comfortably covers the compound
-	// patterns the §3.1 compression emits; longer shared runs still
-	// contribute through every window they contain.
-	DefaultMaxLen = 8
+	// MaxLen is the longest substring Sketch hashes, in tokens. Eight
+	// tokens comfortably covers the compound patterns the §3.1 compression
+	// emits; longer shared runs still contribute through every window they
+	// contain.
+	MaxLen = 8
 )
 
-// Options configure a Sketcher. The zero value means DefaultDim buckets,
-// seed 0, substrings up to DefaultMaxLen tokens, weight-sum feature values.
+// Options configure a Sketcher. The zero value means DefaultDim buckets
+// and seed 0.
 type Options struct {
 	// Dim is the number of hash buckets (the vector width); 0 means
 	// DefaultDim.
@@ -42,22 +40,13 @@ type Options struct {
 	// unrelated embeddings; sketches are only comparable when produced
 	// with identical Dim and Seed.
 	Seed uint64
-	// MaxLen bounds the token length of the substrings Sketch hashes;
-	// 0 means DefaultMaxLen.
-	MaxLen int
-	// Count makes each substring occurrence contribute 1 instead of its
-	// occurrence weight, mirroring kernel.Count for count-mode baselines.
-	Count bool
 }
 
-// Sketcher embeds weighted strings (or explicit feature maps) into
-// fixed-width vectors. It is stateless apart from its options and safe for
-// concurrent use.
+// Sketcher embeds weighted strings into fixed-width vectors. It is
+// stateless apart from its options and safe for concurrent use.
 type Sketcher struct {
-	dim    int
-	seed   uint64
-	maxLen int
-	count  bool
+	dim  int
+	seed uint64
 }
 
 // New returns a Sketcher for the options, applying defaults.
@@ -65,10 +54,7 @@ func New(opt Options) *Sketcher {
 	if opt.Dim <= 0 {
 		opt.Dim = DefaultDim
 	}
-	if opt.MaxLen <= 0 {
-		opt.MaxLen = DefaultMaxLen
-	}
-	return &Sketcher{dim: opt.Dim, seed: opt.Seed, maxLen: opt.MaxLen, count: opt.Count}
+	return &Sketcher{dim: opt.Dim, seed: opt.Seed}
 }
 
 // Dim returns the sketch width.
@@ -78,11 +64,11 @@ func (s *Sketcher) Dim() int { return s.dim }
 func (s *Sketcher) Seed() uint64 { return s.seed }
 
 // Sketch embeds x by hashing every contiguous substring of 1..MaxLen
-// tokens, valued by its occurrence weight (or 1 in Count mode) — the same
-// window features the Blended Spectrum kernel extracts, which also proxy
-// the Kast kernel's shared-substring features well enough for shortlist
-// recall. The result has unit L2 norm (zero for degenerate inputs), so
-// the dot product of two sketches is their cosine.
+// tokens, valued by its occurrence weight — the same window features the
+// Blended Spectrum kernel extracts, which proxy the Kast kernel's
+// shared-substring features well enough for shortlist recall. The result
+// has unit L2 norm (zero for degenerate inputs), so the dot product of two
+// sketches is their cosine.
 func (s *Sketcher) Sketch(x token.String) []float64 {
 	sketchOps.Add(1)
 	vec := make([]float64, s.dim)
@@ -98,38 +84,13 @@ func (s *Sketcher) Sketch(x token.String) []float64 {
 	}
 	for i := 0; i < n; i++ {
 		var h uint64
-		for l := 1; l <= s.maxLen && i+l <= n; l++ {
+		for l := 1; l <= MaxLen && i+l <= n; l++ {
 			h = h*polyBase + th[i+l-1]
-			v := 1.0
-			if !s.count {
-				v = float64(pw[i+l] - pw[i])
-			}
 			// The polynomial hash alone lets substrings of different
 			// lengths collide; folding in l keys them apart before the
 			// final mix.
-			s.accumulate(vec, mix64(h^uint64(l)*lenSalt), v)
+			s.accumulate(vec, mix64(h^uint64(l)*lenSalt), float64(pw[i+l]-pw[i]))
 		}
-	}
-	normalize(vec)
-	return vec
-}
-
-// SketchFeatures embeds an explicit feature map (as returned by
-// kernel.Features) so sketches of inner-product kernels estimate exactly
-// the kernel's own cosine. Keys are hashed in sorted order: float64
-// accumulation is not associative, and a map-iteration order dependence
-// would break the bit-identical determinism the engine's persistence
-// relies on.
-func (s *Sketcher) SketchFeatures(feats map[string]float64) []float64 {
-	sketchOps.Add(1)
-	vec := make([]float64, s.dim)
-	keys := make([]string, 0, len(feats))
-	for k := range feats {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		s.accumulate(vec, mix64(hashString(k)), feats[k])
 	}
 	normalize(vec)
 	return vec

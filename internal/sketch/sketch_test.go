@@ -66,25 +66,6 @@ func TestSketchUnitNorm(t *testing.T) {
 	}
 }
 
-func TestSketchFeaturesOrderIndependent(t *testing.T) {
-	// Build the same logical feature map with different insertion orders;
-	// float accumulation order must not leak into the bits.
-	keys := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
-	vals := []float64{3, 1, 4, 1, 5, 9}
-	fwd := map[string]float64{}
-	for i, k := range keys {
-		fwd[k] = vals[i]
-	}
-	rev := map[string]float64{}
-	for i := len(keys) - 1; i >= 0; i-- {
-		rev[keys[i]] = vals[i]
-	}
-	s := New(Options{Dim: 64, Seed: 9})
-	if !bitsEqual(s.SketchFeatures(fwd), s.SketchFeatures(rev)) {
-		t.Fatal("feature sketch depends on map construction order")
-	}
-}
-
 func TestSketchCosineTracksIdentity(t *testing.T) {
 	// A string is most similar to itself and to a light mutation of
 	// itself; an unrelated vocabulary should score far lower.

@@ -128,18 +128,6 @@ func (t *Trace) CountByName(name string) int {
 	return n
 }
 
-// ZeroBytes returns a copy of the trace with every byte count set to zero.
-// This implements the paper's byte-ignoring string variant ("ignoring is
-// made by assuming all byte values are zero"), applied before tree building
-// so that the compression rules operate on zeroed byte counts.
-func (t *Trace) ZeroBytes() *Trace {
-	c := t.Clone()
-	for i := range c.Ops {
-		c.Ops[i].Bytes = 0
-	}
-	return c
-}
-
 // Validate checks structural sanity: every close has a preceding open on the
 // same handle that has not already been closed, and handles are non-negative.
 // Traces violating this are still convertible (the tree builder tolerates

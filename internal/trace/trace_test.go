@@ -71,20 +71,6 @@ func TestTotalBytesAndCount(t *testing.T) {
 	}
 }
 
-func TestZeroBytes(t *testing.T) {
-	tr := sample()
-	z := tr.ZeroBytes()
-	if z.TotalBytes() != 0 {
-		t.Fatalf("ZeroBytes left %d bytes", z.TotalBytes())
-	}
-	if tr.TotalBytes() == 0 {
-		t.Fatal("ZeroBytes mutated the original")
-	}
-	if z.Len() != tr.Len() {
-		t.Fatal("ZeroBytes changed op count")
-	}
-}
-
 func TestValidateAcceptsWellFormed(t *testing.T) {
 	if err := sample().Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)

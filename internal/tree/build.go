@@ -10,6 +10,11 @@ type BuildOptions struct {
 	// nil means trace.DefaultNegligible; an empty (non-nil) map keeps
 	// everything.
 	Negligible map[string]bool
+	// IgnoreBytes reads every byte count as zero, the paper's
+	// byte-ignoring variant ("ignoring is made by assuming all byte values
+	// are zero"): the leaves, and the compression rules that run on them,
+	// carry no byte information. The trace itself is not modified.
+	IgnoreBytes bool
 }
 
 // Build converts a trace into an uncompressed pattern tree.
@@ -63,7 +68,11 @@ func Build(t *trace.Trace, opt BuildOptions) *Node {
 				h.Children = append(h.Children, blk)
 				currentBlock[op.Handle] = blk
 			}
-			leaves = append(leaves, Node{Kind: OpNode, Name: op.Name, Bytes: op.Bytes, Repeat: 1})
+			leaf := Node{Kind: OpNode, Name: op.Name, Bytes: op.Bytes, Repeat: 1}
+			if opt.IgnoreBytes {
+				leaf.Bytes = 0
+			}
+			leaves = append(leaves, leaf)
 			blk.Children = append(blk.Children, &leaves[len(leaves)-1])
 		}
 	}

@@ -146,12 +146,13 @@ func PaperNormalized(k *KastKernel) Kernel { return core.PaperNormalized{K: k} }
 // Gram computes the kernel matrix over the examples (parallelised).
 func Gram(k Kernel, xs []WeightedString) *Matrix { return kernel.Gram(k, xs) }
 
-// NewEngine returns an empty engine. A nil Kernel in the options means the
-// paper's default, NewKast(2). Engine.Add of each string caches its
-// per-string representation and self-similarity, and Engine.Gram /
-// Engine.NormalizedGram evaluate, on demand over those cached views,
-// exactly what the batch pipeline (Gram, PaperSimilarity) would compute
-// over the same corpus.
+// NewEngine returns an empty engine. The engine runs the Kast kernel only:
+// a nil Kernel in the options means the paper's default, NewKast(2), and
+// any other kernel than a *KastKernel panics (the baselines run through
+// Gram instead). Engine.Add of each string caches its interned view and
+// self-similarity, and Engine.Gram / Engine.NormalizedGram evaluate, on
+// demand over those cached views, exactly what the batch pipeline (Gram,
+// PaperSimilarity) would compute over the same corpus.
 func NewEngine(opt EngineOptions) *Engine { return engine.New(opt) }
 
 // OpenEngine recovers (or initialises) a durable engine from dir: the
@@ -160,8 +161,11 @@ func NewEngine(opt EngineOptions) *Engine { return engine.New(opt) }
 // write-ahead log. After a crash or kill, reopening the same directory
 // yields a bit-identical engine — no client re-ingestion needed.
 // Close the store to checkpoint and detach; the engine stays usable in
-// memory afterwards.
+// memory afterwards. A kernel other than Kast is refused with an error.
 func OpenEngine(dir string, eopt EngineOptions, sopt StoreOptions) (*Engine, *Store, error) {
+	if _, err := engine.KastKernel(eopt.Kernel); err != nil {
+		return nil, nil, err
+	}
 	eopt.Log = nil // the store attaches itself after replay
 	return store.Open(dir, func() *engine.Engine { return engine.New(eopt) }, sopt)
 }

@@ -220,3 +220,13 @@ func TestOpenEngineFacade(t *testing.T) {
 		t.Fatalf("recovered seq %d, want %d", stats.Seq, len(xs))
 	}
 }
+
+// TestOpenEngineRefusesNonKast: the corpus engine runs Kast only, and
+// OpenEngine, which returns an error, refuses another kernel with one that
+// names it instead of panicking in the engine constructor.
+func TestOpenEngineRefusesNonKast(t *testing.T) {
+	blended := &BlendedKernel{P: 5}
+	if _, _, err := OpenEngine(t.TempDir(), EngineOptions{Kernel: blended}, StoreOptions{}); err == nil || !strings.Contains(err.Error(), blended.Name()) {
+		t.Errorf("OpenEngine(blended) = %v, want an error naming the kernel", err)
+	}
+}
