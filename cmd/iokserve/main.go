@@ -12,12 +12,10 @@
 // bit-identical corpus without clients re-sending anything.
 //
 // Every ingested trace is also embedded into a fixed-width sketch vector
-// (internal/sketch), so similarity can be answered approximately — LSH-
-// banded candidate generation over the sketches (sublinear in the corpus
-// size; --ann-bands=0 falls back to an exact O(N*dim) scan) plus an exact
-// kernel rerank of a small shortlist — and for traces that are not in the
-// corpus at all (query-by-trace). Full-rerank queries stay bit-identical
-// to the exact path whatever the ANN settings.
+// (internal/sketch), so similarity can be answered approximately — a scan
+// of every sketch picks a shortlist, and an exact kernel rerank orders
+// it — and for traces that are not in the corpus at all (query-by-trace).
+// Full-rerank queries stay bit-identical to the exact path.
 //
 // The corpus is always internal/shard's supervisor over --shards=N
 // independent engine+store pairs (N = 1 by default) behind one id space:
@@ -36,7 +34,6 @@
 //	iokserve [-addr :8080] [-cut 2] [-nobytes] [-workers 0]
 //	         [-data-dir DIR] [-snapshot-every 1024]
 //	         [-nosync] [-sketch-dim 256] [-sketch-seed 0]
-//	         [-ann-bands 16] [-ann-rows 8]
 //	         [-shards 1] [-shard-seed 0] [-labels FILE]
 //	         [-stream-window 256] [-stream-stride 64] [-max-sessions 1024]
 //	         [-slow-request 1s] [-log-level info] [-pprof-addr ADDR]
@@ -137,8 +134,6 @@ func main() {
 	noSync := flag.Bool("nosync", false, "skip fsync per WAL append (faster, loses recent writes on machine crash)")
 	sketchDim := flag.Int("sketch-dim", sketch.DefaultDim, "sketch vector width for approximate similarity (0 disables sketching)")
 	sketchSeed := flag.Uint64("sketch-seed", 0, "seed for the sketch hashes (must match across restarts sharing a data dir to reuse persisted sketches)")
-	annBands := flag.Int("ann-bands", sketch.DefaultBands, "LSH bands for approximate-similarity candidate generation (0 = exact flat scan over all sketches)")
-	annRows := flag.Int("ann-rows", sketch.DefaultRows, "hyperplanes per LSH band (higher = fewer, more precise candidates)")
 	shards := flag.Int("shards", 1, "number of corpus shards (pinned by a data dir's MANIFEST)")
 	shardSeed := flag.Uint64("shard-seed", 0, "seed for the id-routing hash (pinned by a sharded data dir's MANIFEST)")
 	labelsPath := flag.String("labels", "", "labels file for /classify (default <data-dir>/LABELS when -data-dir is set; in-memory otherwise)")
@@ -170,7 +165,6 @@ func main() {
 	eopt := engine.Options{
 		Kernel: &core.Kast{CutWeight: *cut}, Workers: *workers,
 		SketchDim: *sketchDim, SketchSeed: *sketchSeed,
-		ANNBands: *annBands, ANNRows: *annRows,
 	}
 	if *sketchDim <= 0 {
 		eopt.SketchDim = -1

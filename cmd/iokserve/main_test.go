@@ -24,11 +24,12 @@ func TestMain(m *testing.M) {
 }
 
 // TestKernelFlagsRejected: the corpus runs Kast only, so -kernel, -k and
-// -count are unknown flags. iokserve exits 2 with a usage message before
-// it listens. A server that accepted one would keep running until the
-// timeout kills it, which fails the test too.
+// -count are unknown flags, and the sketch index has no LSH bands, so
+// -ann-bands and -ann-rows are too. iokserve exits 2 with a usage message
+// before it listens. A server that accepted one would keep running until
+// the timeout kills it, which fails the test too.
 func TestKernelFlagsRejected(t *testing.T) {
-	for _, args := range [][]string{{"-kernel", "blended"}, {"-k", "5"}, {"-count"}} {
+	for _, args := range [][]string{{"-kernel", "blended"}, {"-k", "5"}, {"-count"}, {"-ann-bands", "16"}, {"-ann-rows", "8"}} {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		cmd := exec.CommandContext(ctx, os.Args[0], append(args, "-addr", "127.0.0.1:0")...)
 		cmd.Env = append(os.Environ(), "IOKSERVE_RUN_MAIN=1")

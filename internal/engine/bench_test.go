@@ -6,7 +6,6 @@ import (
 
 	"iokast/internal/core"
 	"iokast/internal/kernel"
-	"iokast/internal/sketch"
 	"iokast/internal/token"
 	"iokast/internal/xrand"
 )
@@ -158,31 +157,6 @@ func BenchmarkSimilarSketch(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(fmt.Sprintf("corpus=%d", n), func(b *testing.B) {
 			e, q := similarBenchEngine(b, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.SimilarTrace(q, 10, -1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSimilarANN measures the same query with LSH-banded candidate
-// generation: the flat O(N * dim) scan is replaced by bucket probes plus
-// an int8 scan of the colliding pool, so candidate generation becomes
-// sublinear in N while the exact rerank stays identical to
-// BenchmarkSimilarSketch's.
-func BenchmarkSimilarANN(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("corpus=%d", n), func(b *testing.B) {
-			xs := benchCorpus(n+1, 24)
-			e := New(Options{Kernel: &core.Kast{CutWeight: 2}, ANNBands: sketch.DefaultBands})
-			if _, err := e.AddBatch(xs[:n]); err != nil {
-				b.Fatal(err)
-			}
-			q := xs[n]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -39,10 +39,11 @@
 // ephemerally against the corpus interner, so read-only traffic never
 // grows engine memory. The exact path computes the kernel against every
 // live entry; the approximate path shortlists from the internal sketch
-// index (flat or LSH-banded, see Options.ANNBands and package sketch) and
-// reranks the shortlist exactly. A rerank covering the corpus returns the
-// exact answer bit for bit. Candidates are picked under the read lock and
-// evaluated after it is released, and only the best k are sorted.
+// index (a scan of every live sketch, see package sketch) and reranks the
+// shortlist exactly. A rerank covering the corpus returns the exact answer
+// bit for bit. Candidates are picked under the read lock and evaluated
+// after it is released, and only the best k are kept, in sketch.TopK's
+// heap.
 //
 // A row of candidates is ordered by pair orientation and shape
 // (core.Prepared.Shape) and cut into one chunk per worker, each one
@@ -52,16 +53,17 @@
 // unique shape costs one evaluation. Metrics.SharedEvals counts the
 // derived values. PrepareTraceQuery/PrepareStoredQuery let callers (the
 // sharded fan-out in particular) embed a query exactly once and share the
-// prepared sketch, band signature, and self-similarity across engines.
+// prepared sketch and self-similarity across engines.
 //
 // # Persistence
 //
 // Snapshot/Restore serialise the full engine state — the canonical
-// strings plus the sketch index's vectors, band signatures, and the
-// self-similarities as float64 bits — so a restore is bit-identical and
-// does no kernel work, unless the sketch or ANN configuration changed
-// (then the index is rebuilt deterministically from the canonical
-// strings). Package store adds the write-ahead log and snapshot lifecycle
+// strings plus the sketch index's vectors and the self-similarities as
+// float64 bits — so a restore is bit-identical and does no kernel work,
+// unless the sketch configuration changed (then the index is rebuilt
+// deterministically from the canonical strings). The band signatures of
+// snapshots written while the index was LSH-banded are read and
+// discarded. Package store adds the write-ahead log and snapshot lifecycle
 // around this.
 //
 // See docs/ARCHITECTURE.md for the data flow, locking model, and the

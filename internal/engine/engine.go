@@ -40,17 +40,10 @@ type Options struct {
 	// SketchSeed keys the sketch hashes. Sketches (and snapshots carrying
 	// them) are only compatible across engines with equal dim and seed.
 	SketchSeed uint64
-	// ANNBands, when > 0, switches the sketch index from a flat scan to
-	// LSH-banded candidate generation (sketch.NewIndexANN): ANNBands band
-	// signatures of ANNRows sign-random-projection bits each, derived from
-	// SketchSeed. Search then scans only the entries sharing a band with
-	// the query, falling back to the flat scan whenever exactness requires
-	// it — full-rerank queries stay bit-identical to Similar. 0 (the zero
-	// value) keeps the exact flat scan. Ignored when sketching is disabled.
-	ANNBands int
-	// ANNRows is the number of hyperplanes per band; 0 means
-	// sketch.DefaultRows, values above sketch.MaxRows are clamped.
-	ANNRows int
+	// ANNBands and ANNRows are ignored: the sketch index has one
+	// candidate path, the scan of every live sketch. They stay only until
+	// the load harness, which still sets them, stops doing so.
+	ANNBands, ANNRows int
 	// Metrics are the telemetry hooks; the zero value disables them.
 	Metrics Metrics
 }
@@ -138,7 +131,7 @@ func New(opt Options) *Engine {
 	}
 	if opt.SketchDim >= 0 {
 		e.sk = sketch.New(sketch.Options{Dim: opt.SketchDim, Seed: opt.SketchSeed})
-		e.ix = sketch.NewIndexANN(e.sk.Dim(), opt.ANNBands, opt.ANNRows, opt.SketchSeed)
+		e.ix = sketch.NewIndex(e.sk.Dim())
 		e.ix.SetMetrics(opt.Metrics.Index)
 	}
 	return e
@@ -570,9 +563,9 @@ func DefaultRerank(k int) int {
 }
 
 // SimilarApprox is Similar answered from the sketch index: the query id's
-// stored sketch shortlists candidates (through the LSH bands when
-// enabled), the shortlist is reranked with exact cosine-normalised kernel
-// values, and the best k are returned in Similar's order.
+// stored sketch shortlists candidates, the shortlist is reranked with
+// exact cosine-normalised kernel values, and the best k are returned in
+// Similar's order.
 //
 // rerank controls the shortlist: negative picks the default over-fetch
 // (max(4k, DefaultRerankFloor)), 0 skips the exact rerank entirely and
@@ -592,17 +585,16 @@ func (e *Engine) SimilarApprox(id, k, rerank int) ([]Neighbor, error) {
 }
 
 // TraceQuery is a query prepared once for one or more
-// SimilarTracePrepared calls: the canonical string, the prepared sketch
-// query (vector, band signature, quantized copy) and the self-similarity
-// k(q, q). All of these depend only on the string and the engine
-// configuration — not on any corpus — so one TraceQuery can be shared
-// across every engine built with the same kernel and sketch/ANN
+// SimilarTracePrepared calls: the canonical string, its sketch vector and
+// the self-similarity k(q, q). All of these depend only on the string and
+// the engine configuration — not on any corpus — so one TraceQuery can be
+// shared across every engine built with the same kernel and sketch
 // configuration. internal/shard prepares the query once and fans the same
-// TraceQuery out to all shards, paying the sketch and signature cost once
-// instead of once per shard.
+// TraceQuery out to all shards, paying the sketch cost once instead of
+// once per shard.
 type TraceQuery struct {
 	x    token.String
-	sq   *sketch.Query
+	vec  []float64 // nil when the preparing engine does not sketch
 	self float64
 	// A by-id query (PrepareStoredQuery) names the engine and id of its
 	// stored entry: that engine compares with the stored view and drops
@@ -614,8 +606,8 @@ type TraceQuery struct {
 }
 
 // PrepareTraceQuery builds the corpus-independent representation of a
-// query trace: a defensive copy of the string, the prepared sketch query
-// when sketching is enabled, and the self-similarity. The interned view is
+// query trace: a defensive copy of the string, its sketch vector when
+// sketching is enabled, and the self-similarity. The interned view is
 // deliberately not kept: it depends on each engine's interner, so
 // SimilarTracePrepared builds it per call.
 func (e *Engine) PrepareTraceQuery(x token.String) (*TraceQuery, error) {
@@ -624,7 +616,7 @@ func (e *Engine) PrepareTraceQuery(x token.String) (*TraceQuery, error) {
 	}
 	tq := &TraceQuery{x: append(token.String(nil), x...)}
 	if e.sk != nil {
-		tq.sq = e.ix.PrepareQuery(e.sk.Sketch(tq.x))
+		tq.vec = e.sk.Sketch(tq.x)
 	}
 	// Self-similarity is corpus-independent (the interned view only renames
 	// literals, never changes the value), so pay for it once here instead
@@ -636,8 +628,8 @@ func (e *Engine) PrepareTraceQuery(x token.String) (*TraceQuery, error) {
 
 // PrepareStoredQuery builds a by-id TraceQuery from a live corpus entry,
 // reusing everything the engine already holds for it: the stored view,
-// its self-similarity and its sketch vector with the stored band
-// signature. No kernel or sketch work is paid. On this engine
+// its self-similarity and its sketch vector, borrowed from the entry. No
+// kernel or sketch work is paid. On this engine
 // SimilarTracePrepared excludes id from the answer; on any other engine
 // (the sharded fan-out) the query is an ordinary trace. The result aliases
 // engine storage and must be treated as read-only.
@@ -648,11 +640,7 @@ func (e *Engine) PrepareStoredQuery(id int) (*TraceQuery, error) {
 		return nil, fmt.Errorf("engine: no entry with id %d", id)
 	}
 	en := e.entries[id]
-	tq := &TraceQuery{x: en.prep.String(), self: en.self, owner: e, id: id, stored: en}
-	if e.sk != nil {
-		tq.sq = e.ix.SelfQuery(id)
-	}
-	return tq, nil
+	return &TraceQuery{x: en.prep.String(), vec: en.vec, self: en.self, owner: e, id: id, stored: en}, nil
 }
 
 // SimilarTrace answers "what is this trace similar to?" without ingesting
@@ -675,9 +663,8 @@ func (e *Engine) SimilarTrace(x token.String, k, rerank int) ([]Neighbor, error)
 
 // SimilarTracePrepared is SimilarTrace over an already-prepared query.
 // tq must come from PrepareTraceQuery or PrepareStoredQuery on this engine
-// or on one with an identical kernel and sketch/ANN configuration (the
-// sharded fan-out); a query prepared without ANN byproducts simply falls
-// back to the flat sketch scan inside the index.
+// or on one with an identical kernel and sketch configuration (the
+// sharded fan-out).
 //
 // Candidates are picked under the read lock; their kernel values are
 // computed after it is released, so a queued writer never waits behind a
@@ -691,11 +678,11 @@ func (e *Engine) SimilarTracePrepared(tq *TraceQuery, k, rerank int) ([]Neighbor
 		// The per-engine view is built outside any lock, like Add's.
 		qe, qid = e.queryEntry(tq), -1
 	}
-	sq := tq.sq
-	if e.sk != nil && sq == nil {
+	vec := tq.vec
+	if e.sk != nil && vec == nil {
 		// Prepared by a sketchless engine; sketch here so the approximate
 		// paths still work.
-		sq = e.ix.PrepareQuery(e.sk.Sketch(tq.x))
+		vec = e.sk.Sketch(tq.x)
 	}
 	if rerank < 0 {
 		rerank = DefaultRerank(k)
@@ -724,7 +711,7 @@ func (e *Engine) SimilarTracePrepared(tq *TraceQuery, k, rerank int) ([]Neighbor
 		}
 	} else {
 		if rerank == 0 {
-			out := neighbors(e.ix.SearchQuery(sq, k, qid))
+			out := neighbors(e.ix.Search(vec, k, qid))
 			e.mu.RUnlock()
 			return out, nil
 		}
@@ -732,7 +719,7 @@ func (e *Engine) SimilarTracePrepared(tq *TraceQuery, k, rerank int) ([]Neighbor
 		if k > fetch {
 			fetch = k
 		}
-		cands = e.ix.SearchQuery(sq, fetch, qid)
+		cands = e.ix.Search(vec, fetch, qid)
 		e.met.Reranked.Add(int64(len(cands)))
 	}
 	against := make([]*entry, len(cands))
@@ -742,7 +729,7 @@ func (e *Engine) SimilarTracePrepared(tq *TraceQuery, k, rerank int) ([]Neighbor
 	e.mu.RUnlock()
 
 	row := e.compareRow(qe.prep, qid, cands, against)
-	out := make([]Neighbor, len(cands))
+	top := sketch.NewTopK(k, len(cands))
 	for i, c := range cands {
 		v := row[i]
 		if d := tq.self * against[i].self; d > 0 {
@@ -750,58 +737,13 @@ func (e *Engine) SimilarTracePrepared(tq *TraceQuery, k, rerank int) ([]Neighbor
 		} else {
 			v = 0
 		}
-		out[i] = Neighbor{ID: c.ID, Similarity: v}
+		top.Push(sketch.Candidate{ID: c.ID, Score: v})
 	}
-	return topNeighbors(out, k), nil
+	return neighbors(top.Sorted()), nil
 }
 
-// topNeighbors returns the first k of out in SortNeighbors order, all of
-// them for k < 0. For 0 <= k < len(out) it keeps the best k seen so far in
-// a heap with the worst of them at the root, and sorts only those. It
-// reorders out.
-func topNeighbors(out []Neighbor, k int) []Neighbor {
-	if k < 0 || k >= len(out) {
-		SortNeighbors(out)
-		return out
-	}
-	top := out[:k]
-	if k == 0 {
-		return top
-	}
-	for i := k/2 - 1; i >= 0; i-- {
-		siftDown(top, i)
-	}
-	for _, nb := range out[k:] {
-		if before(nb, top[0]) {
-			top[0] = nb
-			siftDown(top, 0)
-		}
-	}
-	SortNeighbors(top)
-	return top
-}
-
-// siftDown restores the heap order below h[i]: no entry comes after its
-// parent in SortNeighbors order, so the root is the last of the heap.
-func siftDown(h []Neighbor, i int) {
-	for {
-		last := i
-		if l := 2*i + 1; l < len(h) && before(h[last], h[l]) {
-			last = l
-		}
-		if r := 2*i + 2; r < len(h) && before(h[last], h[r]) {
-			last = r
-		}
-		if last == i {
-			return
-		}
-		h[i], h[last] = h[last], h[i]
-		i = last
-	}
-}
-
-// neighbors converts sketch candidates (already sorted by the index) into
-// Neighbor values carrying the sketch cosine as the similarity.
+// neighbors converts candidates, already in order, into Neighbor values
+// carrying their scores as the similarity.
 func neighbors(cands []sketch.Candidate) []Neighbor {
 	out := make([]Neighbor, len(cands))
 	for i, c := range cands {
@@ -811,9 +753,9 @@ func neighbors(cands []sketch.Candidate) []Neighbor {
 }
 
 // SortNeighbors orders by decreasing similarity with ties by ascending id,
-// the order every query returns. It is exported because the exact-merge
-// guarantee of internal/shard depends on applying this exact ordering to
-// merged per-shard results; there must be one definition of it.
+// the order every query returns, sketch.TopK's. It is exported because the
+// exact-merge guarantee of internal/shard depends on applying this exact
+// ordering to merged per-shard results.
 func SortNeighbors(out []Neighbor) {
 	sort.SliceStable(out, func(a, b int) bool { return before(out[a], out[b]) })
 }
@@ -839,16 +781,6 @@ func (e *Engine) SketchConfig() (dim int, seed uint64, enabled bool) {
 		return 0, 0, false
 	}
 	return e.sk.Dim(), e.sk.Seed(), true
-}
-
-// ANNConfig reports whether the sketch index generates candidates from
-// LSH bands and, if so, the band count and rows per band. enabled is
-// false both when sketching is off and when the index is a flat scan.
-func (e *Engine) ANNConfig() (bands, rows int, enabled bool) {
-	if e.ix == nil {
-		return 0, 0, false
-	}
-	return e.ix.ANNConfig()
 }
 
 // SketchVec returns a copy of the indexed sketch vector for id, or nil if

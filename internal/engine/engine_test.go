@@ -9,6 +9,7 @@ import (
 	"iokast/internal/core"
 	"iokast/internal/iogen"
 	"iokast/internal/kernel"
+	"iokast/internal/sketch"
 	"iokast/internal/token"
 	"iokast/internal/xrand"
 )
@@ -273,8 +274,9 @@ func randWeighted(r *xrand.Rand, n int) token.String {
 	return s
 }
 
-// topNeighbors selects with a heap, but must return exactly the first k
-// of SortNeighbors' order, ties on similarity included.
+// The rerank selects its top k with sketch.TopK's heap, but must return
+// exactly the first k of SortNeighbors' order, ties on similarity
+// included: shard merges sort with SortNeighbors.
 func TestTopNeighborsMatchesSort(t *testing.T) {
 	r := xrand.New(5)
 	for trial := 0; trial < 200; trial++ {
@@ -285,8 +287,12 @@ func TestTopNeighborsMatchesSort(t *testing.T) {
 		}
 		want := append([]Neighbor(nil), list...)
 		SortNeighbors(want)
-		for _, k := range []int{-1, 0, 1, n - 1, n, n + 1} {
-			got := topNeighbors(append([]Neighbor(nil), list...), k)
+		for _, k := range []int{-1, 0, 1, n - 1, n, n + 1, 1 << 62} {
+			top := sketch.NewTopK(k, n)
+			for _, nb := range list {
+				top.Push(sketch.Candidate{ID: nb.ID, Score: nb.Similarity})
+			}
+			got := neighbors(top.Sorted())
 			w := want
 			if k >= 0 && k < n {
 				w = want[:k]

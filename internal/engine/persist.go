@@ -14,10 +14,9 @@ import (
 
 // Snapshot format: a self-describing, CRC-checked dump of the engine state
 // that Restore rebuilds bit-identically. Every cached float — sketch
-// vectors, band signatures and self-similarities — is persisted as raw
-// bits, so a restore does no kernel or sketch work unless the sketch
-// configuration changed. Pairwise kernel values are never stored; queries
-// compute them on demand.
+// vectors and self-similarities — is persisted as raw bits, so a restore
+// does no kernel or sketch work unless the sketch configuration changed.
+// Pairwise kernel values are never stored; queries compute them on demand.
 //
 // Layout:
 //
@@ -31,14 +30,15 @@ import (
 //	         if live: uvarint length + canonical token text (token.Parse)
 //	sketch   flag byte 0 (disabled) or 1 (enabled); if enabled: uvarint
 //	         dim + uint64 little-endian seed
-//	ann      flag byte 0 (flat index) or 1 (LSH-banded); if banded:
-//	         uvarint bands + uvarint rows
+//	ann      flag byte, written 0. Snapshots from before the sketch index
+//	         lost its LSH bands may carry 1, followed by uvarint bands +
+//	         uvarint rows
 //	crc      uint32 little-endian, CRC-32C over everything above
 //	vectors  matrixio.WriteVectors of the sketch index, one slot per id
 //	         (own magic and CRC; only when the sketch flag is 1)
-//	sigs     matrixio.WriteWordVectors of the ANN band signatures, one
-//	         slot per id, width = bands (own magic and CRC; only when the
-//	         ann flag is 1)
+//	sigs     only when the ann flag is 1: a matrixio word-vector block of
+//	         band signatures, one slot per id, width = bands (own magic and
+//	         CRC). Restore checks it and discards it.
 //	selfs    matrixio.WriteVectors of width 1: k(x, x) per live id,
 //	         tombstones absent (own magic and CRC). Version 3 has the full
 //	         raw Gram matrix here instead, as a matrixio symmetric
@@ -135,21 +135,8 @@ func (e *Engine) snapshotLocked(w io.Writer) error {
 			return fmt.Errorf("engine: snapshot: %w", err)
 		}
 	}
-	annBands, annRows, annEnabled := e.ANNConfig()
-	if !annEnabled {
-		if _, err := cw.Write([]byte{0}); err != nil {
-			return fmt.Errorf("engine: snapshot: %w", err)
-		}
-	} else {
-		if _, err := cw.Write([]byte{1}); err != nil {
-			return fmt.Errorf("engine: snapshot: %w", err)
-		}
-		if err := writeUvarint(uint64(annBands)); err != nil {
-			return fmt.Errorf("engine: snapshot: %w", err)
-		}
-		if err := writeUvarint(uint64(annRows)); err != nil {
-			return fmt.Errorf("engine: snapshot: %w", err)
-		}
+	if _, err := cw.Write([]byte{0}); err != nil { // ann flag
+		return fmt.Errorf("engine: snapshot: %w", err)
 	}
 	binary.LittleEndian.PutUint32(scratch[:4], crc.Sum32())
 	if _, err := bw.Write(scratch[:4]); err != nil {
@@ -170,21 +157,6 @@ func (e *Engine) snapshotLocked(w io.Writer) error {
 		}
 		if err := matrixio.WriteVectors(bw, e.sk.Dim(), vecs); err != nil {
 			return fmt.Errorf("engine: snapshot sketches: %w", err)
-		}
-		if annEnabled {
-			// Band signatures are deterministic in (vector, config), so a
-			// restore could recompute them; persisting them trades a few
-			// bands*8 bytes per entry for skipping bands*rows*dim float
-			// additions per entry on recovery.
-			sigs := make([][]uint64, len(e.entries))
-			for id, en := range e.entries {
-				if en != nil {
-					sigs[id] = e.ix.Sig(id)
-				}
-			}
-			if err := matrixio.WriteWordVectors(bw, annBands, sigs); err != nil {
-				return fmt.Errorf("engine: snapshot signatures: %w", err)
-			}
 		}
 	}
 	selfs := make([][]float64, len(e.entries))
@@ -338,22 +310,17 @@ func (e *Engine) Restore(r io.Reader) error {
 	default:
 		return fmt.Errorf("engine: restore sketch flag: bad value %d", flag)
 	}
-	var (
-		snapANN   bool
-		snapBands uint64
-		snapRows  uint64
-	)
+	var snapBands uint64 // 0 = no signature block
 	if flag, err = cr.ReadByte(); err != nil {
 		return fmt.Errorf("engine: restore ann flag: %w", err)
 	}
 	switch flag {
 	case 0:
 	case 1:
-		snapANN = true
 		if snapBands, err = binary.ReadUvarint(cr); err != nil || snapBands == 0 || snapBands > 1<<12 {
 			return fmt.Errorf("engine: restore ann bands: %v", err)
 		}
-		if snapRows, err = binary.ReadUvarint(cr); err != nil || snapRows == 0 || snapRows > 64 {
+		if rows, err := binary.ReadUvarint(cr); err != nil || rows == 0 || rows > 64 {
 			return fmt.Errorf("engine: restore ann rows: %v", err)
 		}
 	default:
@@ -383,10 +350,10 @@ func (e *Engine) Restore(r io.Reader) error {
 		}
 		snapVecs = vecs
 	}
-	var snapSigs [][]uint64
-	if snapANN {
-		// Like the vector block, the signature block must be consumed even
-		// when this engine cannot use it.
+	if snapBands > 0 {
+		// A snapshot written while the index was LSH-banded carries band
+		// signatures. Nothing uses them any more, but the block is read
+		// whole, its CRC checked, to reach the self-similarities.
 		sigWidth, sigs, err := matrixio.ReadWordVectors(br, int(numIDs))
 		if err != nil {
 			return fmt.Errorf("engine: restore signatures: %w", err)
@@ -395,7 +362,6 @@ func (e *Engine) Restore(r io.Reader) error {
 			return fmt.Errorf("engine: signature block %dx%d does not match header %dx%d",
 				len(sigs), sigWidth, numIDs, snapBands)
 		}
-		snapSigs = sigs
 	}
 
 	if err := restoreSelfs(br, version, entries); err != nil {
@@ -410,14 +376,6 @@ func (e *Engine) Restore(r io.Reader) error {
 		// would have persisted — sketches are deterministic in (string,
 		// dim, seed).
 		usePersisted := snapSketch && snapDim == uint64(e.sk.Dim()) && snapSeed == e.sk.Seed()
-		// Persisted band signatures are reused only when the vectors are
-		// and the banding parameters match this engine's exactly; anything
-		// else (older snapshot, changed --ann-* flags) falls back to
-		// recomputing signatures from the restored vectors, which yields
-		// the same bits — signatures are deterministic in (vector, config).
-		bands, rows, annEnabled := e.ANNConfig()
-		useSigs := usePersisted && annEnabled && snapANN &&
-			snapBands == uint64(bands) && snapRows == uint64(rows)
 		for id, en := range entries {
 			if en == nil {
 				continue
@@ -430,11 +388,7 @@ func (e *Engine) Restore(r io.Reader) error {
 			} else {
 				e.sketchEntry(en)
 			}
-			var sig []uint64
-			if useSigs {
-				sig = snapSigs[id]
-			}
-			_ = e.ix.AddSigned(id, en.vec, sig)
+			e.indexEntry(id, en)
 		}
 	}
 

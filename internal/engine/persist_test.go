@@ -205,10 +205,10 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // TestSnapshotBuffersWrites: a snapshot reaches its writer in buffer-sized
 // chunks, not one Write per id slot of every binary block (sketch vectors,
-// band signatures, self-similarities), absent slots included.
+// self-similarities), absent slots included.
 func TestSnapshotBuffersWrites(t *testing.T) {
 	xs := corpus(t, 48, 5)
-	e := New(Options{Kernel: &core.Kast{CutWeight: 2}, ANNBands: 8})
+	e := New(Options{Kernel: &core.Kast{CutWeight: 2}})
 	if _, err := e.AddBatch(xs); err != nil {
 		t.Fatal(err)
 	}

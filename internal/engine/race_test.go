@@ -210,7 +210,7 @@ func TestEngineConcurrentAddBatch(t *testing.T) {
 // engine answers like a brute-force Gram.
 func TestEngineConcurrentQueriesAndRemove(t *testing.T) {
 	xs := corpus(t, 40, 77)
-	e := New(Options{Kernel: &core.Kast{CutWeight: 2}, ANNBands: 4})
+	e := New(Options{Kernel: &core.Kast{CutWeight: 2}})
 	if _, err := e.AddBatch(xs[:20]); err != nil {
 		t.Fatal(err)
 	}

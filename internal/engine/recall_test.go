@@ -6,7 +6,6 @@ import (
 
 	"iokast/internal/core"
 	"iokast/internal/iogen"
-	"iokast/internal/sketch"
 	"iokast/internal/token"
 	"iokast/internal/xrand"
 )
@@ -49,11 +48,11 @@ func tieAwareHits(got, exact []Neighbor) int {
 
 // TestWorkloadRecall pins the approximate path's recall@10 on a workload
 // corpus, as exact hit counts over by-id queries of the first 32 ids (320
-// slots), at the default shortlist and three wider ones, over the banded
-// index and the flat one. The counts are deterministic: sketches, band
-// signatures and kernel values depend only on the strings and the
-// configuration. A change that moves a count moved the sketches or the
-// shortlist, not noise.
+// slots), at the default shortlist and three wider ones, over the flat
+// index, the only one there is. The counts are deterministic: sketches and
+// kernel values depend only on the strings and the configuration. A
+// change that moves a count moved the sketches or the shortlist, not
+// noise.
 func TestWorkloadRecall(t *testing.T) {
 	const (
 		n       = 512
@@ -61,38 +60,33 @@ func TestWorkloadRecall(t *testing.T) {
 		k       = 10
 	)
 	xs := workloadCorpus(t, n)
-	// Hit counts by shortlist width, the same for both indexes.
+	// Hit counts by shortlist width.
 	want := map[int]int{DefaultRerank(k): 110, 64: 111, 128: 146, 256: 320}
-	for _, idx := range []struct {
-		name  string
-		bands int
-	}{{"banded", sketch.DefaultBands}, {"flat", 0}} {
-		e := New(Options{ANNBands: idx.bands, ANNRows: sketch.DefaultRows})
-		if _, err := e.AddBatch(xs); err != nil {
+	e := New(Options{})
+	if _, err := e.AddBatch(xs); err != nil {
+		t.Fatal(err)
+	}
+	exact := make([][]Neighbor, queries)
+	for q := range exact {
+		var err error
+		if exact[q], err = e.Similar(q, k); err != nil {
 			t.Fatal(err)
 		}
-		exact := make([][]Neighbor, queries)
-		for q := range exact {
-			var err error
-			if exact[q], err = e.Similar(q, k); err != nil {
-				t.Fatal(err)
+	}
+	for _, width := range []int{DefaultRerank(k), 64, 128, 256} {
+		t.Run(fmt.Sprintf("flat/rerank=%d", width), func(t *testing.T) {
+			hits := 0
+			for q := range exact {
+				got, err := e.SimilarApprox(q, k, width)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hits += tieAwareHits(got, exact[q])
 			}
-		}
-		for _, width := range []int{DefaultRerank(k), 64, 128, 256} {
-			t.Run(fmt.Sprintf("%s/rerank=%d", idx.name, width), func(t *testing.T) {
-				hits := 0
-				for q := range exact {
-					got, err := e.SimilarApprox(q, k, width)
-					if err != nil {
-						t.Fatal(err)
-					}
-					hits += tieAwareHits(got, exact[q])
-				}
-				t.Logf("recall@%d = %d/%d = %.3f", k, hits, queries*k, float64(hits)/float64(queries*k))
-				if hits != want[width] {
-					t.Errorf("%d hits of %d, want %d", hits, queries*k, want[width])
-				}
-			})
-		}
+			t.Logf("recall@%d = %d/%d = %.3f", k, hits, queries*k, float64(hits)/float64(queries*k))
+			if hits != want[width] {
+				t.Errorf("%d hits of %d, want %d", hits, queries*k, want[width])
+			}
+		})
 	}
 }

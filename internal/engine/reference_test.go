@@ -139,7 +139,7 @@ func TestByIDMatchesBruteForceGram(t *testing.T) {
 	} {
 		kern, xs := c.kern, c.xs
 		t.Run(c.name+kern.Name(), func(t *testing.T) {
-			opt := Options{Kernel: kern, SketchDim: 32, SketchSeed: 3, ANNBands: 4, ANNRows: 4}
+			opt := Options{Kernel: kern, SketchDim: 32, SketchSeed: 3}
 			e := New(opt)
 			if _, err := e.AddBatch(xs[:8]); err != nil {
 				t.Fatal(err)
@@ -174,9 +174,10 @@ func TestByIDMatchesBruteForceGram(t *testing.T) {
 
 // TestRestoreV3Snapshot pins the version-3 reader with a snapshot written
 // before self-similarities replaced the Gram triangle: six Kast entries
-// with id 2 removed, sketch dim 16 and seed 5, 2 ANN bands of 4 rows.
-// The restore keeps only the triangle's diagonal, so it must serve what an
-// engine built live from the same history serves.
+// with id 2 removed, sketch dim 16 and seed 5, and a signature block of 2
+// LSH bands of 4 rows, which restore discards. The restore keeps only the
+// triangle's diagonal, so it must serve what an engine built live from the
+// same history serves.
 func TestRestoreV3Snapshot(t *testing.T) {
 	data, err := os.ReadFile("testdata/snapshot-v3.bin")
 	if err != nil {
@@ -185,7 +186,7 @@ func TestRestoreV3Snapshot(t *testing.T) {
 	if v := data[len(snapshotMagic)]; v != snapshotVersionV3 {
 		t.Fatalf("fixture is snapshot version %d, want %d", v, snapshotVersionV3)
 	}
-	opt := Options{Kernel: &core.Kast{CutWeight: 2}, SketchDim: 16, SketchSeed: 5, ANNBands: 2, ANNRows: 4}
+	opt := Options{Kernel: &core.Kast{CutWeight: 2}, SketchDim: 16, SketchSeed: 5}
 	r := New(opt)
 	if err := r.Restore(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
@@ -217,6 +218,120 @@ func TestRestoreV3Snapshot(t *testing.T) {
 		assertSameNeighbors(t, fmt.Sprintf("Similar(%d)", id), want, got)
 	}
 	assertByIDMatchesBrute(t, "v3 restore", r)
+}
+
+// headerEnd returns where a snapshot's header ends and its CRC begins: 4
+// bytes before the first binary block, whose "IOKVEC1\n" magic canonical
+// token text cannot contain.
+func headerEnd(t *testing.T, snap []byte) int {
+	t.Helper()
+	i := bytes.Index(snap, []byte("IOKVEC1\n"))
+	if i < 4 {
+		t.Fatal("snapshot has no vector block")
+	}
+	return i - 4
+}
+
+// TestRestoreV4BandedSnapshot pins the snapshot every data dir written at
+// iokserve's defaults held while the sketch index was LSH-banded: version
+// 4 from the default engine (Kast cut 2, sketch dim 256, seed 0) with
+// 16 bands of 8 rows, 12 workload traces inserted in one batch and id 5
+// removed, so the header ends in ann flag 1, bands and rows, and a
+// signature block follows the vectors. Restore checks that block and
+// discards it, into a default engine and into a sketch-disabled one, and
+// must then serve what an engine built live from the same history serves.
+// The restored engine snapshots to the live engine's bytes: the fixture's
+// header with ann flag 0 in place of the banding, and no signature block.
+// That snapshot restores to the same state.
+func TestRestoreV4BandedSnapshot(t *testing.T) {
+	data, err := os.ReadFile("testdata/snapshot-v4-banded.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := data[len(snapshotMagic)]; v != snapshotVersion {
+		t.Fatalf("fixture is snapshot version %d, want %d", v, snapshotVersion)
+	}
+	end := headerEnd(t, data)
+	if banding := data[end-3 : end]; !bytes.Equal(banding, []byte{1, 16, 8}) {
+		t.Fatalf("fixture header ends in %v, want ann flag 1, 16 bands, 8 rows", banding)
+	}
+	for _, c := range []struct {
+		name string
+		opt  Options
+	}{{"default", Options{}}, {"sketch-disabled", Options{SketchDim: -1}}} {
+		t.Run(c.name, func(t *testing.T) {
+			live := New(c.opt)
+			if _, err := live.AddBatch(workloadCorpus(t, 12)); err != nil {
+				t.Fatal(err)
+			}
+			if err := live.Remove(5); err != nil {
+				t.Fatal(err)
+			}
+			r := New(c.opt)
+			if err := r.Restore(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+			assertRestoredLike(t, "fixture", live, r)
+
+			var snap, liveSnap bytes.Buffer
+			if _, err := r.Snapshot(&snap); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := live.Snapshot(&liveSnap); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(snap.Bytes(), liveSnap.Bytes()) {
+				t.Fatal("the restored engine's snapshot differs from the live engine's")
+			}
+			if bytes.Contains(snap.Bytes(), []byte("IOKSIG1\n")) {
+				t.Fatal("snapshot of the restored engine carries a signature block")
+			}
+			if c.opt.SketchDim >= 0 {
+				want := append(data[:end-3:end-3], 0)
+				if got := snap.Bytes()[:headerEnd(t, snap.Bytes())]; !bytes.Equal(got, want) {
+					t.Fatalf("snapshot header ends in %v, want the fixture's header with ann flag 0 (%v)", got[len(got)-4:], want[len(want)-4:])
+				}
+			}
+			again := New(c.opt)
+			if err := again.Restore(&snap); err != nil {
+				t.Fatal(err)
+			}
+			assertRestoredLike(t, "second restore", live, again)
+		})
+	}
+}
+
+// assertRestoredLike asserts that r holds what live holds: seq, length
+// and next id, every sketch vector and every k(x, x) bit for bit, and the
+// same by-id answers, exact and approximate.
+func assertRestoredLike(t *testing.T, ctx string, live, r *Engine) {
+	t.Helper()
+	if r.Seq() != live.Seq() || r.Len() != live.Len() || r.NextID() != live.NextID() {
+		t.Fatalf("%s: restored seq/len/next = %d/%d/%d, want %d/%d/%d",
+			ctx, r.Seq(), r.Len(), r.NextID(), live.Seq(), live.Len(), live.NextID())
+	}
+	sketchStatesEqual(t, live, r)
+	_, ids := live.Strings()
+	for _, id := range ids {
+		if got, want := r.entries[id].self, live.entries[id].self; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: restored k(x%d, x%d) = %v, want %v", ctx, id, id, got, want)
+		}
+		want, err := live.Similar(id, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Similar(id, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameNeighbors(t, fmt.Sprintf("%s: Similar(%d)", ctx, id), want, got)
+		wantApprox, err1 := live.SimilarApprox(id, 3, -1)
+		gotApprox, err2 := r.SimilarApprox(id, 3, -1)
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("%s: SimilarApprox(%d) errors %v and %v", ctx, id, err1, err2)
+		}
+		assertSameNeighbors(t, fmt.Sprintf("%s: SimilarApprox(%d)", ctx, id), wantApprox, gotApprox)
+	}
 }
 
 // TestByIDSharedRowsMatchBruteForce: workload traces repeat a few literal

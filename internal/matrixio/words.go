@@ -8,12 +8,13 @@ import (
 )
 
 // Binary word-vector-block format: the uint64 sibling of the float64
-// vector block. The engine's snapshots persist the ANN band signatures —
-// one fixed-width []uint64 per id slot, tombstoned slots absent — so a
-// restore can rebuild the LSH buckets without recomputing every
-// signature. Same framing discipline as the vector block: little-endian
-// bits guarded by a CRC-32 (Castagnoli), exact byte consumption so the
-// block can sit mid-stream.
+// vector block. Engine snapshots written while the sketch index was
+// LSH-banded carry their band signatures in one — one fixed-width
+// []uint64 per id slot, tombstoned slots absent — and the engine's
+// restore reads it whole and discards it. Nothing writes one any more;
+// WriteWordVectors stays as the reader's test oracle. Same framing
+// discipline as the vector block: little-endian bits guarded by a CRC-32
+// (Castagnoli), exact byte consumption so the block can sit mid-stream.
 //
 // Layout:
 //
@@ -25,8 +26,8 @@ import (
 //	crc     uint32 little-endian, CRC-32 (Castagnoli) over magic|count|width|slots
 const wordMagic = "IOKSIG1\n"
 
-// maxWordWidth bounds the persisted signature width; the ANN index caps
-// bands at a few hundred, so 1<<12 leaves headroom while keeping a
+// maxWordWidth bounds the persisted signature width; the banded index
+// capped bands at a few hundred, so 1<<12 leaves headroom while keeping a
 // corrupted header from forcing huge allocations.
 const maxWordWidth = 1 << 12
 

@@ -160,6 +160,35 @@ func TestServeKZeroEndpoints(t *testing.T) {
 	}
 }
 
+// A k far beyond the corpus is a valid request: every query answers 200
+// with the whole live corpus at most, on one shard and on four, and no
+// layer sizes anything by k.
+func TestServeHugeK(t *testing.T) {
+	sh, err := shard.New(shard.Options{Shards: 4, Seed: 7, Engine: engine.Options{Kernel: &core.Kast{CutWeight: 2}, Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = "4611686018427387904" // 1 << 62
+	for _, s := range []*Server{testServer(), NewSharded(sh, nil, core.Options{})} {
+		seedLabeled(t, s)
+		for _, c := range []struct {
+			method, target, body string
+			want                 int
+		}{
+			{http.MethodGet, "/similar?id=0&approx=1&k=" + k, "", 2},
+			{http.MethodGet, "/similar?id=0&approx=1&rerank=0&k=" + k, "", 2},
+			{http.MethodGet, "/similar?id=0&k=" + k, "", 2},
+			{http.MethodPost, "/similar?k=" + k, traceA, 3},
+			{http.MethodPost, "/classify?k=" + k, traceA, 3},
+		} {
+			resp := doJSON(t, s, c.method, c.target, c.body, http.StatusOK)
+			if ns, ok := resp["neighbors"].([]any); !ok || len(ns) != c.want {
+				t.Fatalf("%s %s: neighbors %v, want the %d live candidates", c.method, c.target, resp["neighbors"], c.want)
+			}
+		}
+	}
+}
+
 // rerank < -1 is rejected as a client error on every endpoint that takes it.
 func TestServeRerankValidation(t *testing.T) {
 	s := testServer()

@@ -560,10 +560,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := map[string]any{"status": "ok", "traces": s.c.Len(), "stream_sessions": s.streams.Len()}
-	if bands, rows, enabled := s.c.ANNConfig(); enabled {
-		resp["ann_bands"] = bands
-		resp["ann_rows"] = rows
-	}
 	// Per-shard health: one degraded shard degrades the whole instance (a
 	// fraction of the id space is no longer durable), and the probe names
 	// the shards so operators can see which WALs are failing.

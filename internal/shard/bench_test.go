@@ -7,7 +7,6 @@ import (
 	"iokast/internal/core"
 	"iokast/internal/engine"
 	"iokast/internal/iogen"
-	"iokast/internal/sketch"
 	"iokast/internal/token"
 	"iokast/internal/xrand"
 )
@@ -64,18 +63,17 @@ func BenchmarkShardedAddBatch(b *testing.B) {
 	}
 }
 
-// benchANNEngineOptions is the production query configuration: sketching
-// on at the default width, LSH-banded candidate generation on at the
-// default banding — what cmd/iokserve runs with.
-func benchANNEngineOptions() engine.Options {
-	return engine.Options{Kernel: &core.Kast{CutWeight: 2}, ANNBands: sketch.DefaultBands}
+// benchQueryOptions is the production query configuration: sketching on
+// at the default width — what cmd/iokserve runs with.
+func benchQueryOptions() engine.Options {
+	return engine.Options{Kernel: &core.Kast{CutWeight: 2}}
 }
 
 // BenchmarkShardedSimilar answers top-10 query-by-trace requests on the
-// production approximate path (banded candidate generation + default
-// exact rerank — what cmd/iokserve serves) over an N=1024 corpus, single
-// engine vs 4 shards. The query is embedded once and the prepared sketch,
-// band signature, and self-similarity are shared across the fan-out; the
+// production approximate path (sketch scan + default exact rerank — what
+// cmd/iokserve serves) over an N=1024 corpus, single engine vs 4 shards.
+// The query is embedded once and the prepared sketch and self-similarity
+// are shared across the fan-out; the
 // rerank budget is global, so the shards collectively evaluate about as
 // many kernels as the single engine — the fan-out costs coordination, not
 // duplicated work.
@@ -84,7 +82,7 @@ func BenchmarkShardedSimilar(b *testing.B) {
 	xs := benchStrings(n)
 	queries := benchStrings(n + 64)[n:]
 	b.Run("single", func(b *testing.B) {
-		eng := engine.New(benchANNEngineOptions())
+		eng := engine.New(benchQueryOptions())
 		if _, err := eng.AddBatch(xs); err != nil {
 			b.Fatal(err)
 		}
@@ -97,7 +95,7 @@ func BenchmarkShardedSimilar(b *testing.B) {
 	})
 	for _, shards := range []int{4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			sh, err := New(Options{Shards: shards, Engine: benchANNEngineOptions()})
+			sh, err := New(Options{Shards: shards, Engine: benchQueryOptions()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -116,7 +114,7 @@ func BenchmarkShardedSimilar(b *testing.B) {
 
 // BenchmarkShardedSimilarByID answers top-10 by-id approximate queries
 // (?approx=1) over the same corpus. Every engine shortlists from the
-// owner's stored sketch and signature and reranks its shortlist with
+// owner's stored sketch and reranks its shortlist with
 // on-demand kernel values; the owner drops the query's own id. The rerank
 // budget is global, so the shards evaluate about as many kernels as the
 // single engine.
@@ -124,7 +122,7 @@ func BenchmarkShardedSimilarByID(b *testing.B) {
 	const n = 1024
 	xs := benchStrings(n)
 	b.Run("single", func(b *testing.B) {
-		eng := engine.New(benchANNEngineOptions())
+		eng := engine.New(benchQueryOptions())
 		if _, err := eng.AddBatch(xs); err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +135,7 @@ func BenchmarkShardedSimilarByID(b *testing.B) {
 	})
 	for _, shards := range []int{4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			sh, err := New(Options{Shards: shards, Engine: benchANNEngineOptions()})
+			sh, err := New(Options{Shards: shards, Engine: benchQueryOptions()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -163,7 +161,7 @@ func BenchmarkShardedSimilarExact(b *testing.B) {
 	const n = 1024
 	xs := benchStrings(n)
 	b.Run("single", func(b *testing.B) {
-		eng := engine.New(benchEngineOptions())
+		eng := engine.New(benchQueryOptions())
 		if _, err := eng.AddBatch(xs); err != nil {
 			b.Fatal(err)
 		}
@@ -176,7 +174,7 @@ func BenchmarkShardedSimilarExact(b *testing.B) {
 	})
 	for _, shards := range []int{4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			sh, err := New(Options{Shards: shards, Engine: benchEngineOptions()})
+			sh, err := New(Options{Shards: shards, Engine: benchQueryOptions()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -210,7 +208,7 @@ func BenchmarkShardedSimilarExactWorkload(b *testing.B) {
 		}
 		xs[i] = core.Convert(tr, core.Options{})
 	}
-	sh, err := New(Options{Shards: 4, Engine: benchANNEngineOptions()})
+	sh, err := New(Options{Shards: 4, Engine: benchQueryOptions()})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -238,7 +238,7 @@ func TestShardedByIDMatchesBruteForce(t *testing.T) {
 	for _, shards := range equivShardCounts {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			sh, err := New(Options{Shards: shards, Seed: seed, Engine: engine.Options{
-				Kernel: &core.Kast{CutWeight: 2}, SketchDim: 32, ANNBands: 4, ANNRows: 4}})
+				Kernel: &core.Kast{CutWeight: 2}, SketchDim: 32}})
 			if err != nil {
 				t.Fatal(err)
 			}

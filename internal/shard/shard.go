@@ -312,9 +312,9 @@ func (s *Sharded) owner(id int) *engine.Engine {
 const exactRerank = math.MaxInt
 
 // storedQuery prepares the fan-out query for a live global id from the
-// owner engine's stored state — view, self-similarity, sketch vector,
-// band signature — without recomputing any of it: the embedding
-// was paid at ingest, never per query. The owner engine excludes the id
+// owner engine's stored state — view, self-similarity, sketch vector —
+// without recomputing any of it: the embedding was paid at ingest, never
+// per query. The owner engine excludes the id
 // from its own candidates; the other shards see a trace.
 func (s *Sharded) storedQuery(id int) (*engine.TraceQuery, error) {
 	tq, err := s.owner(id).PrepareStoredQuery(id)
@@ -355,8 +355,8 @@ func (s *Sharded) shardRerank(k, rerank int) int {
 
 // prepareQuery builds the shared trace query once, on shard 0's engine.
 // Every shard engine is built from the same Options, so the prepared
-// sketch vector, band signature, and self-similarity are valid on all of
-// them — the fan-out pays the embedding cost once, not once per shard.
+// sketch vector and self-similarity are valid on all of them — the
+// fan-out pays the embedding cost once, not once per shard.
 func (s *Sharded) prepareQuery(x token.String) (*engine.TraceQuery, error) {
 	return s.engines[0].PrepareTraceQuery(x)
 }
@@ -424,14 +424,13 @@ func (s *Sharded) Similar(id, k int) ([]engine.Neighbor, error) {
 }
 
 // SimilarApprox is Similar answered from the shards' sketch indexes: each
-// shard shortlists candidates by sketch score (through its ANN bands when
-// enabled) and reranks them with exact kernel values, and the per-shard
-// results merge like Similar. The rerank budget is global (see
-// shardRerank): the result is exact over the union of the shortlists —
-// identical to Similar whenever they cover the true top k, and always
-// identical when rerank covers the corpus. rerank follows the engine's
-// convention: negative for the default over-fetch, 0 for raw sketch
-// scores. The stored sketch and band signature are reused on every shard.
+// shard shortlists candidates by sketch score and reranks them with exact
+// kernel values, and the per-shard results merge like Similar. The rerank
+// budget is global (see shardRerank): the result is exact over the union
+// of the shortlists — identical to Similar whenever they cover the true
+// top k, and always identical when rerank covers the corpus. rerank
+// follows the engine's convention: negative for the default over-fetch, 0
+// for raw sketch scores. The stored sketch is reused on every shard.
 func (s *Sharded) SimilarApprox(id, k, rerank int) ([]engine.Neighbor, error) {
 	if _, _, enabled := s.SketchConfig(); !enabled {
 		return nil, fmt.Errorf("shard: sketching disabled (Options.SketchDim < 0)")
@@ -444,9 +443,9 @@ func (s *Sharded) SimilarApprox(id, k, rerank int) ([]engine.Neighbor, error) {
 }
 
 // SimilarTrace answers query-by-trace without ingesting: the string is
-// embedded once (sketch vector plus ANN signature, shared across the
-// fan-out), compared against every shard in parallel, and the per-shard
-// top-k merge exactly, as in Similar. rerank follows the engine's
+// embedded once (its sketch vector is shared across the fan-out), compared
+// against every shard in parallel, and the per-shard top-k merge exactly,
+// as in Similar. rerank follows the engine's
 // convention with a global budget (see shardRerank); with an exact rerank
 // (>= the corpus size) the result is bit-identical to the single engine's.
 func (s *Sharded) SimilarTrace(x token.String, k, rerank int) ([]engine.Neighbor, error) {
@@ -481,13 +480,6 @@ func (s *Sharded) Kernel() *core.Kast { return s.engines[0].Kernel() }
 // SketchConfig reports the shared sketch configuration of the shards.
 func (s *Sharded) SketchConfig() (dim int, seed uint64, enabled bool) {
 	return s.engines[0].SketchConfig()
-}
-
-// ANNConfig reports the shared ANN banding configuration of the shards
-// (every shard engine is built from the same Options, so one answer covers
-// all of them).
-func (s *Sharded) ANNConfig() (bands, rows int, enabled bool) {
-	return s.engines[0].ANNConfig()
 }
 
 // Len returns the number of live entries across all shards.

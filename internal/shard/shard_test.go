@@ -12,11 +12,13 @@ import (
 	"sync"
 	"testing"
 
+	"iokast/internal/cli"
 	"iokast/internal/core"
 	"iokast/internal/engine"
 	"iokast/internal/iogen"
 	"iokast/internal/kernel"
 	"iokast/internal/matrixio"
+	"iokast/internal/sketch"
 	"iokast/internal/store"
 	"iokast/internal/token"
 )
@@ -765,5 +767,38 @@ func testIDSpaceLimit(t *testing.T, shards int) {
 	}
 	if id := s.Add(xs[1]); id != -1 || s.NextID() != matrixio.MaxSlots || s.Len() != 1 {
 		t.Fatalf("Add past the limit = %d, NextID=%d Len=%d; want -1, %d, 1", id, s.NextID(), s.Len(), matrixio.MaxSlots)
+	}
+}
+
+// TestSimilarTraceSketchesOnce is the regression test for the fan-out
+// fix: a sharded query-by-trace must embed the query exactly once and
+// share the prepared sketch across every shard, not re-sketch per shard.
+func TestSimilarTraceSketchesOnce(t *testing.T) {
+	xs := corpus(t, 20, 3)
+	queries := corpus(t, 24, 4)[20:]
+	for _, spec := range []cli.KernelSpec{
+		{Name: "kast", CutWeight: 2},
+		{Name: "kast", CutWeight: 4},
+	} {
+		kern, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, err := New(Options{Shards: 4, Seed: 2, Engine: engine.Options{Kernel: kern}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sh.AddBatch(xs); err != nil {
+			t.Fatal(err)
+		}
+		for qi, q := range queries {
+			before := sketch.SketchOps()
+			if _, err := sh.SimilarTrace(q, 5, -1); err != nil {
+				t.Fatal(err)
+			}
+			if ops := sketch.SketchOps() - before; ops != 1 {
+				t.Fatalf("cut %d query %d: %d sketch operations for one fan-out, want 1", spec.CutWeight, qi, ops)
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 // Package sketch embeds weighted strings into fixed-width vectors so
-// similarity queries can be answered approximately in O(dim) per corpus
-// entry — or, with the LSH-banded index, in time proportional to a small
-// candidate pool — instead of one kernel evaluation each.
+// similarity queries can be answered approximately in O(nnz) per corpus
+// entry instead of one kernel evaluation each.
 //
 // # Embedding
 //
@@ -21,30 +20,22 @@
 //
 // # Candidate generation
 //
-// A flat Index (NewIndex) answers a query by scanning every live vector.
-// NewIndexANN adds LSH-banded candidate generation: each vector carries a
-// band signature — bands hash keys of rows sign-random-projection bits
-// each — and a query probes one hash bucket per band, unions the members,
-// ranks the pool with an int8-quantized dot product, float64-rescores the
-// leaders, and returns the top k. Two vectors at angle theta collide in a
-// band with probability (1 - theta/pi)^rows, so the pool concentrates on
-// near neighbours and candidate generation becomes sublinear in the corpus
-// for clustered data. Whenever the request already covers every reachable
-// entry (or the index is flat, or a prepared query carries no signature)
-// the search falls back to the exact scan, preserving the contract that a
-// covering rerank is bit-identical to the exact path.
+// An Index answers a query by scoring every live vector over the query's
+// nonzero buckets only — the skipped terms are exact zeros, so each score
+// equals Dot bit for bit — and keeping the best k in a TopK heap bounded
+// by min(k, live entries). TopK's order, score descending with ties by
+// ascending id, is the one every search and rerank returns, so a request
+// that covers every entry returns the exact scan's answer.
 //
 // # Determinism
 //
 // Everything here is deterministic in (input, Options): the same string
 // sketched twice, on any machine, in any corpus, yields bit-identical
-// vectors, and band signatures depend only on (vector, bands, rows, seed)
-// — the hyperplanes are derived by counter-mode hashing, never stored.
-// That is what lets the engine rebuild its sketch index bit-identically
-// from a WAL replay, lets snapshots persist raw vector and signature bits,
-// and lets every shard of a sharded corpus share one query's signature.
-// FuzzANNSignature and the package recall/equivalence tests pin all of it.
+// vectors. That is what lets the engine rebuild its sketch index
+// bit-identically from a WAL replay, lets snapshots persist raw vector
+// bits, and lets every shard of a sharded corpus share one query's
+// sketch. FuzzSketchDeterminism and the package recall/equivalence tests
+// pin it.
 //
-// See docs/ARCHITECTURE.md for how the index sits in the query path and
-// the on-disk signature block format.
+// See docs/ARCHITECTURE.md for how the index sits in the query path.
 package sketch

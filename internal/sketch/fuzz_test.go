@@ -70,80 +70,6 @@ func FuzzSketchDeterminism(f *testing.F) {
 	})
 }
 
-// FuzzANNSignature fuzzes the band-signature contract the ANN fan-out and
-// snapshot restore lean on: for any parseable weighted string and any
-// (dim, bands, rows, seed), the LSH signature is bit-deterministic across
-// independently built indexes, feeding a persisted signature back through
-// AddSigned reproduces the exact index state, and the signature survives
-// the matrixio word codec unchanged.
-func FuzzANNSignature(f *testing.F) {
-	f.Add("read[4096]:3 write[512]:1 read[4096]:3", uint16(64), uint8(16), uint8(8), uint64(0))
-	f.Add("[ROOT]:1 [HANDLE]:1 open:1 write[32768]:900 close:1", uint16(256), uint8(4), uint8(64), uint64(42))
-	f.Add("a:1", uint16(1), uint8(1), uint8(1), uint64(^uint64(0)))
-	f.Add("lseek+read[4096]:70 lseek+write[4096]:50 [LEVEL_UP]:2", uint16(8), uint8(32), uint8(3), uint64(7))
-	f.Fuzz(func(t *testing.T, text string, dimRaw uint16, bandsRaw, rowsRaw uint8, seed uint64) {
-		x, err := token.Parse(text)
-		if err != nil || len(x) == 0 || x.Validate() != nil {
-			t.Skip()
-		}
-		if len(x) > 256 {
-			x = x[:256]
-		}
-		dim := int(dimRaw)%512 + 1
-		bands := int(bandsRaw)%64 + 1
-		rows := int(rowsRaw) % (sketch.MaxRows + 1) // 0 exercises the DefaultRows clamp
-
-		vec := sketch.New(sketch.Options{Dim: dim, Seed: seed}).Sketch(x)
-
-		a := sketch.NewIndexANN(dim, bands, rows, seed)
-		b := sketch.NewIndexANN(dim, bands, rows, seed)
-		if err := a.Add(0, vec); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Add(0, vec); err != nil {
-			t.Fatal(err)
-		}
-		sig := a.Sig(0)
-		if len(sig) != bands {
-			t.Fatalf("signature width %d, want bands=%d", len(sig), bands)
-		}
-		other := b.Sig(0)
-		for i := range sig {
-			if sig[i] != other[i] {
-				t.Fatalf("band %d: signature differs across identically configured indexes: %x vs %x", i, sig[i], other[i])
-			}
-		}
-
-		// Word codec round-trip (the snapshot v3 signature block).
-		var buf bytes.Buffer
-		if err := matrixio.WriteWordVectors(&buf, bands, [][]uint64{sig, nil}); err != nil {
-			t.Fatal(err)
-		}
-		gotWidth, sigs, err := matrixio.ReadWordVectors(&buf, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotWidth != bands || len(sigs) != 2 || sigs[1] != nil {
-			t.Fatalf("word codec shape: width %d, %d slots", gotWidth, len(sigs))
-		}
-		for i := range sig {
-			if sigs[0][i] != sig[i] {
-				t.Fatalf("band %d: signature changed across codec round-trip", i)
-			}
-		}
-
-		// Restoring via AddSigned with the persisted signature must build
-		// the same state as recomputing it.
-		c := sketch.NewIndexANN(dim, bands, rows, seed)
-		if err := c.AddSigned(0, vec, sigs[0]); err != nil {
-			t.Fatal(err)
-		}
-		if !a.Equal(c) {
-			t.Fatal("AddSigned with persisted signature diverges from Add")
-		}
-	})
-}
-
 func requireSameBits(t *testing.T, want, got []float64, context string) {
 	t.Helper()
 	if len(want) != len(got) {

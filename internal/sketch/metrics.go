@@ -6,23 +6,14 @@ import "iokast/internal/obs"
 // disables them (obs instruments are nil-safe), so uninstrumented
 // indexes pay one nil check per search.
 type IndexMetrics struct {
-	// Searches counts candidate generations (banded or flat).
+	// Searches counts candidate generations, one per Search.
 	Searches *obs.Counter
-	// PoolCandidates counts banded candidate-pool members scanned;
-	// PoolCandidates/Searches is the mean pool size, the number that
-	// decides whether ANN is actually sublinear on this corpus.
-	PoolCandidates *obs.Counter
-	// FlatFallbacks counts searches that degraded to the exact flat scan
-	// (flat index, covering k, missing byproducts, or a thin pool).
-	FlatFallbacks *obs.Counter
 }
 
 // NewIndexMetrics registers the sketch index family on reg.
 func NewIndexMetrics(reg *obs.Registry, labels obs.Labels) IndexMetrics {
 	return IndexMetrics{
-		Searches:       reg.Counter("iok_sketch_searches_total", "Sketch-index candidate generations.", labels),
-		PoolCandidates: reg.Counter("iok_sketch_pool_candidates_total", "Banded candidate-pool members scanned.", labels),
-		FlatFallbacks:  reg.Counter("iok_sketch_flat_fallbacks_total", "Searches degraded to the exact flat scan.", labels),
+		Searches: reg.Counter("iok_sketch_searches_total", "Sketch-index candidate generations.", labels),
 	}
 }
 

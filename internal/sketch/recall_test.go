@@ -15,7 +15,6 @@ import (
 	"iokast/internal/core"
 	"iokast/internal/engine"
 	"iokast/internal/iogen"
-	"iokast/internal/sketch"
 	"iokast/internal/token"
 )
 
@@ -192,89 +191,6 @@ func TestSimilarTraceMatchesBruteForce(t *testing.T) {
 			if len(shortlisted) == 0 || shortlisted[0] != want[0] {
 				t.Errorf("%s query %d: shortlisted top-1 %+v, want %+v",
 					kern.Name(), qi, shortlisted, want[0])
-			}
-		}
-	}
-}
-
-func buildANNEngine(t testing.TB, k *core.Kast, xs []token.String) *engine.Engine {
-	t.Helper()
-	e := engine.New(engine.Options{Kernel: k, ANNBands: sketch.DefaultBands, ANNRows: sketch.DefaultRows})
-	if _, err := e.AddBatch(xs); err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
-// TestANNRecallAt10 is TestRecallAt10 with LSH-banded candidate
-// generation enabled: recall@10 must stay >= 0.9 at the default rerank
-// for every cut weight when the shortlist comes from the banded index
-// instead of the flat sketch scan.
-func TestANNRecallAt10(t *testing.T) {
-	xs := recallCorpus(t, 1)
-	for _, kern := range kernelConfigs() {
-		e := buildANNEngine(t, kern, xs)
-		if _, _, enabled := e.ANNConfig(); !enabled {
-			t.Fatal("ANN not enabled on the engine under test")
-		}
-		recall := recallAt10(t, e, len(xs), func(id int) []engine.Neighbor {
-			ns, err := e.SimilarApprox(id, 10, -1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ns
-		})
-		t.Logf("%s: ANN recall@10 = %.3f over %d queries", kern.Name(), recall, len(xs))
-		if recall < 0.9 {
-			t.Errorf("%s: ANN recall@10 = %.3f, want >= 0.9", kern.Name(), recall)
-		}
-	}
-}
-
-// TestANNRerankMatchesExact asserts the ANN acceptance property: with the
-// rerank covering the corpus, an ANN-enabled engine's SimilarApprox
-// returns exactly Similar's top-k — same ids, same similarity bits, same
-// order — and SimilarTrace with full rerank equals the brute-force scan.
-// Approximation never changes answers when the rerank pays for exactness.
-func TestANNRerankMatchesExact(t *testing.T) {
-	xs := recallCorpus(t, 2)
-	queries := recallCorpus(t, 5)[:4]
-	for _, kern := range kernelConfigs() {
-		e := buildANNEngine(t, kern, xs)
-		for id := range xs {
-			for _, k := range []int{1, 5, 10} {
-				exact, err := e.Similar(id, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				approx, err := e.SimilarApprox(id, k, len(xs))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(exact) != len(approx) {
-					t.Fatalf("%s id=%d k=%d: %d vs %d neighbors", kern.Name(), id, k, len(exact), len(approx))
-				}
-				for i := range exact {
-					if exact[i] != approx[i] {
-						t.Fatalf("%s id=%d k=%d: neighbor %d exact %+v != ANN %+v",
-							kern.Name(), id, k, i, exact[i], approx[i])
-					}
-				}
-			}
-		}
-		for qi, q := range queries {
-			got, err := e.SimilarTrace(q, 5, len(xs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := bruteForceNeighbors(kern, xs, q, 5)
-			if len(got) != len(want) {
-				t.Fatalf("%s query %d: %d vs %d neighbors", kern.Name(), qi, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s query %d: neighbor %d got %+v, want %+v", kern.Name(), qi, i, got[i], want[i])
-				}
 			}
 		}
 	}

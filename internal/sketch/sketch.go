@@ -28,6 +28,11 @@ const (
 	// emits; longer shared runs still contribute through every window they
 	// contain.
 	MaxLen = 8
+	// DefaultBands and DefaultRows are unused: the index has no LSH bands.
+	// They stay only until the load harness, which still names them in
+	// engine.Options, stops doing so.
+	DefaultBands = 16
+	DefaultRows  = 8
 )
 
 // Options configure a Sketcher. The zero value means DefaultDim buckets

@@ -104,8 +104,8 @@ func TestIndexAddRemoveSearch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ix.Len() != 8 || ix.Size() != 8 {
-		t.Fatalf("Len/Size = %d/%d", ix.Len(), ix.Size())
+	if n := len(ix.Search(vecs[0], -1, -1)); n != 8 {
+		t.Fatalf("%d live vectors, want 8", n)
 	}
 	if err := ix.Add(3, vecs[3]); err == nil {
 		t.Fatal("re-adding a live id must fail")
