@@ -133,7 +133,7 @@ func main() {
 	snapshotEvery := flag.Int("snapshot-every", 1024, "mutations between automatic snapshots (<0 disables)")
 	noSync := flag.Bool("nosync", false, "skip fsync per WAL append (faster, loses recent writes on machine crash)")
 	sketchDim := flag.Int("sketch-dim", sketch.DefaultDim, "sketch vector width for approximate similarity (0 disables sketching)")
-	sketchSeed := flag.Uint64("sketch-seed", 0, "seed for the sketch hashes (must match across restarts sharing a data dir to reuse persisted sketches)")
+	sketchSeed := flag.Uint64("sketch-seed", 0, "seed for the sketch hashes (pinned by a data dir's MANIFEST)")
 	shards := flag.Int("shards", 1, "number of corpus shards (pinned by a data dir's MANIFEST)")
 	shardSeed := flag.Uint64("shard-seed", 0, "seed for the id-routing hash (pinned by a sharded data dir's MANIFEST)")
 	labelsPath := flag.String("labels", "", "labels file for /classify (default <data-dir>/LABELS when -data-dir is set; in-memory otherwise)")

@@ -17,8 +17,8 @@
 // record. Add, AddBatch and Insert share that one commit path: Insert
 // takes caller-assigned increasing ids (a shard engine stores corpus-wide
 // ids), and the ids it skips are empty slots, like removed ones. Ids stop
-// below matrixio.MaxSlots, the most slots a snapshot block holds: an
-// insert past it is refused with ErrIDSpaceFull. No pairwise value is
+// below MaxIDs, because the entries and the sketch index are indexed by
+// id: an insert past it is refused with ErrIDSpaceFull. No pairwise value is
 // stored: queries compute the kernel against their candidates on demand,
 // and Gram, NormalizedGram and GramAt evaluate the matrix on demand over
 // the cached views.
@@ -57,14 +57,15 @@
 //
 // # Persistence
 //
-// Snapshot/Restore serialise the full engine state — the canonical
-// strings plus the sketch index's vectors and the self-similarities as
-// float64 bits — so a restore is bit-identical and does no kernel work,
-// unless the sketch configuration changed (then the index is rebuilt
-// deterministically from the canonical strings). The band signatures of
-// snapshots written while the index was LSH-banded are read and
-// discarded. Package store adds the write-ahead log and snapshot lifecycle
-// around this.
+// A snapshot holds the live ids with their canonical strings, the
+// sequence number and the next id, under one CRC; nothing derived is
+// written. Restore commits the strings through the path Insert and WAL
+// replay share, so every entry's sketch and self-similarity are rebuilt
+// from its string, bit-identical to the engine that wrote the snapshot,
+// under the restoring engine's sketch configuration. Snapshots of versions
+// 3 and 4, which also carried sketch vectors, self-similarities or a Gram
+// triangle, are restored from their strings alone. Package store adds the
+// write-ahead log and snapshot lifecycle around this.
 //
 // See docs/ARCHITECTURE.md for the data flow, locking model, and the
 // snapshot wire format.

@@ -11,7 +11,6 @@ import (
 	"iokast/internal/core"
 	"iokast/internal/kernel"
 	"iokast/internal/linalg"
-	"iokast/internal/matrixio"
 	"iokast/internal/sketch"
 	"iokast/internal/token"
 )
@@ -37,8 +36,9 @@ type Options struct {
 	// engines with the same configuration and corpus hold bit-identical
 	// indexes regardless of how the corpus was built or recovered.
 	SketchDim int
-	// SketchSeed keys the sketch hashes. Sketches (and snapshots carrying
-	// them) are only compatible across engines with equal dim and seed.
+	// SketchSeed keys the sketch hashes. Sketches are only comparable
+	// across engines with equal dim and seed; snapshots carry none, so a
+	// restore sketches under the restoring engine's own dim and seed.
 	SketchSeed uint64
 	// ANNBands and ANNRows are ignored: the sketch index has one
 	// candidate path, the scan of every live sketch. They stay only until
@@ -75,6 +75,7 @@ type Engine struct {
 	workers  int
 
 	entries []*entry // index = id; nil after Remove and for ids Insert skipped
+	next    int      // one past the highest id ever inserted: NextID
 	active  int
 	seq     uint64 // accepted mutations (adds + removes), the WAL sequence
 	log     Log    // mutation log, nil for a purely in-memory engine
@@ -147,11 +148,14 @@ func (e *Engine) Len() int {
 	return e.active
 }
 
+// MaxIDs bounds the id space: every id is below it. The entries and the
+// sketch index are indexed by id, so the bound also caps what an id read
+// from a log record or a snapshot can make recovery allocate.
+const MaxIDs = 1 << 20
+
 // ErrIDSpaceFull refuses an insert that would take an id at or above
-// matrixio.MaxSlots. A snapshot block holds at most that many id slots, so
-// an engine holding such an id could no longer be snapshotted, nor
-// recovered; the refusal comes before anything is logged or applied.
-var ErrIDSpaceFull = fmt.Errorf("engine: id space full (ids stop below %d)", matrixio.MaxSlots)
+// MaxIDs; the refusal comes before anything is logged or applied.
+var ErrIDSpaceFull = fmt.Errorf("engine: id space full (ids stop below %d)", MaxIDs)
 
 // Add inserts a weighted string into the corpus and returns its id. Ids are
 // assigned sequentially and never reused. The insert pays one kernel
@@ -177,12 +181,12 @@ func (e *Engine) Add(x token.String) int {
 // nil ids, or a persistence error from the attached Log, after which the
 // in-memory insertion has still happened (see Log).
 func (e *Engine) AddBatch(xs []token.String) ([]int, error) {
-	return e.insert(nil, xs)
+	return e.insert(nil, xs, nil)
 }
 
 // Insert adds xs[i] under the caller-assigned id ids[i], through the same
 // commit as AddBatch. The ids must increase strictly, the first must be at
-// or above NextID() and the last below matrixio.MaxSlots (ErrIDSpaceFull);
+// or above NextID() and the last below MaxIDs (ErrIDSpaceFull);
 // anything else is refused before it is logged or applied. An id the
 // insert skips stays an empty slot, exactly like a removed one, so NextID
 // afterwards is the last id plus one.
@@ -200,17 +204,19 @@ func (e *Engine) Insert(ids []int, xs []token.String) error {
 			return fmt.Errorf("engine: insert ids not increasing: %d after %d", ids[t], ids[t-1])
 		}
 	}
-	_, err := e.insert(ids, xs)
+	_, err := e.insert(ids, xs, nil)
 	return err
 }
 
-// insert is the one commit path of Add, AddBatch and Insert. A nil ids
-// assigns the next len(xs) ids under the write lock; otherwise ids are
-// increasing and checked against NextID there. Either way the last id is
-// checked against the id space.
-func (e *Engine) insert(ids []int, xs []token.String) ([]int, error) {
+// insert is the one commit path of Add, AddBatch, Insert, WAL replay (which
+// calls Insert) and Restore. A nil ids assigns the next len(xs) ids under
+// the write lock; otherwise ids are increasing and checked against NextID
+// there. Either way the last id is checked against the id space. A
+// restore (snap != nil) commits into an empty engine without logging, and
+// the engine then takes the snapshot's seq and next id.
+func (e *Engine) insert(ids []int, xs []token.String, snap *snapshot) ([]int, error) {
 	m := len(xs)
-	if m == 0 {
+	if m == 0 && snap == nil {
 		return nil, nil
 	}
 	// Per-string representations are built outside the write lock; the
@@ -221,20 +227,22 @@ func (e *Engine) insert(ids []int, xs []token.String) ([]int, error) {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	next := len(e.entries)
+	if snap != nil && e.next != 0 {
+		return nil, fmt.Errorf("engine: Restore into non-empty engine (next id %d)", e.next)
+	}
 	if ids == nil {
 		ids = make([]int, m)
 		for t := range ids {
-			ids[t] = next + t
+			ids[t] = e.next + t
 		}
-	} else if ids[0] < next {
-		return nil, fmt.Errorf("engine: insert at id %d below next id %d", ids[0], next)
+	} else if m > 0 && ids[0] < e.next {
+		return nil, fmt.Errorf("engine: insert at id %d below next id %d", ids[0], e.next)
 	}
-	if ids[m-1] >= matrixio.MaxSlots {
+	if m > 0 && ids[m-1] >= MaxIDs {
 		return nil, fmt.Errorf("%w: insert at id %d", ErrIDSpaceFull, ids[m-1])
 	}
 	var logErr error
-	if e.log != nil {
+	if e.log != nil && snap == nil {
 		strs := make([]token.String, m)
 		for t, ne := range nes {
 			strs[t] = ne.prep.String()
@@ -253,46 +261,39 @@ func (e *Engine) insert(ids []int, xs []token.String) ([]int, error) {
 		}
 		e.indexEntry(ids[t], ne)
 		e.entries = append(e.entries, ne)
+		e.next = ids[t] + 1
 	}
 	e.active += m
 	e.seq += uint64(m)
 	e.met.Adds.Add(int64(m))
+	if snap != nil {
+		e.seq, e.next = snap.seq, snap.next
+	}
 	return ids, logErr
 }
 
 // ingestEntry builds everything a new corpus entry caches: its interned
-// view, its sketch and its self-similarity. Safe for concurrent use.
+// view (which keeps a defensive copy of x), its sketch and its
+// self-similarity. Safe for concurrent use.
 func (e *Engine) ingestEntry(x token.String) *entry {
-	ne := e.newEntry(x)
-	e.sketchEntry(ne)
+	ne := &entry{prep: e.interner.Prepare(x)}
+	if e.sk != nil {
+		// The windowed substring features of the string, a proxy that
+		// tracks Kast's shared-substring similarity well enough for
+		// shortlist recall (the exact rerank restores exact results).
+		ne.vec = e.sk.Sketch(ne.prep.String())
+	}
 	ne.self = e.kast.ComparePrepared(ne.prep, ne.prep)
 	return ne
 }
 
-// newEntry interns x into a new entry's view; the view keeps a defensive
-// copy of x. Safe for concurrent use.
-func (e *Engine) newEntry(x token.String) *entry {
-	return &entry{prep: e.interner.Prepare(x)}
-}
-
-// queryEntry builds this engine's view of a query string. Unlike newEntry
+// queryEntry builds this engine's view of a query string. Unlike ingestEntry
 // it never grows the shared interner: unknown query literals get ephemeral
 // scratch ids (core.Interner.PrepareEphemeral), so read-only query traffic
 // — however diverse or adversarial — cannot permanently grow engine
 // memory. Safe for concurrent use.
 func (e *Engine) queryEntry(tq *TraceQuery) *entry {
 	return &entry{prep: e.interner.PrepareEphemeral(tq.x)}
-}
-
-// sketchEntry fills ne.vec with the sketch of the entry's string: its
-// windowed substring features, a proxy that tracks Kast's shared-substring
-// similarity well enough for shortlist recall (the exact rerank restores
-// exact results). Safe for concurrent use.
-func (e *Engine) sketchEntry(ne *entry) {
-	if e.sk == nil {
-		return
-	}
-	ne.vec = e.sk.Sketch(ne.prep.String())
 }
 
 // indexEntry registers a committed entry's sketch under its id. Caller
@@ -414,7 +415,7 @@ func (e *Engine) Seq() uint64 {
 func (e *Engine) NextID() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return len(e.entries)
+	return e.next
 }
 
 // Err returns the first mutation-log failure, or nil. A non-nil value means
@@ -549,17 +550,14 @@ const DefaultRerankFloor = 32
 // caller passes rerank < 0: a 4x over-fetch with a floor, so small k still
 // gives the exact rerank enough candidates to recover sketch-ranking
 // mistakes. k < 0 (return everything) yields an effectively unbounded
-// shortlist, i.e. the exact path. Exported so internal/shard can resolve
-// the caller's rerank to the same width the single engine would before
-// splitting it across shards.
+// shortlist, i.e. the exact path, and so does a k whose 4k would overflow.
+// Exported so internal/shard can resolve the caller's rerank to the same
+// width the single engine would before splitting it across shards.
 func DefaultRerank(k int) int {
-	if k < 0 {
+	if k < 0 || k > exactRerank/4 {
 		return exactRerank
 	}
-	if r := 4 * k; r > DefaultRerankFloor {
-		return r
-	}
-	return DefaultRerankFloor
+	return max(4*k, DefaultRerankFloor)
 }
 
 // SimilarApprox is Similar answered from the sketch index: the query id's

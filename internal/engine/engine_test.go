@@ -308,3 +308,20 @@ func TestTopNeighborsMatchesSort(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultRerankSaturates: the default shortlist is 4k with a floor of
+// DefaultRerankFloor, and a k whose 4k would overflow gets the exact
+// width instead of a wrapped product.
+func TestDefaultRerankSaturates(t *testing.T) {
+	for _, c := range []struct{ k, want int }{
+		{8, 32},
+		{9, 36},
+		{1 << 61, exactRerank},
+		{1 << 62, exactRerank},
+		{math.MaxInt, exactRerank},
+	} {
+		if got := DefaultRerank(c.k); got != c.want {
+			t.Errorf("DefaultRerank(%d) = %d, want %d", c.k, got, c.want)
+		}
+	}
+}

@@ -9,7 +9,8 @@ import (
 // them: obs instruments are nil-safe, so an unconfigured engine pays a
 // nil check per aggregate point and nothing per kernel evaluation.
 type Metrics struct {
-	// Adds counts accepted corpus insertions (Add and AddBatch entries).
+	// Adds counts committed corpus entries: those of Add, AddBatch and
+	// Insert, and so of WAL replay, and those a Restore rebuilds.
 	Adds *obs.Counter
 	// Removes counts accepted tombstones.
 	Removes *obs.Counter

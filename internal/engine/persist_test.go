@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"iokast/internal/core"
-	"iokast/internal/matrixio"
 	"iokast/internal/token"
 )
 
@@ -153,6 +152,37 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotKeepsRemovedTopIDs: ids removed at the top of the id space
+// stay taken across a snapshot. NextID comes back as one past the highest
+// id ever inserted, not past the highest live one, so the next Add gets a
+// fresh id.
+func TestSnapshotKeepsRemovedTopIDs(t *testing.T) {
+	xs := corpus(t, 11, 6)
+	e := New(Options{Kernel: &core.Kast{CutWeight: 2}})
+	if _, err := e.AddBatch(xs[:10]); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{9, 8} {
+		if err := e.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := e.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r := New(Options{Kernel: &core.Kast{CutWeight: 2}})
+	if err := r.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if r.NextID() != 10 || r.Len() != 8 || r.Seq() != 12 {
+		t.Fatalf("restored NextID=%d Len=%d Seq=%d, want 10/8/12", r.NextID(), r.Len(), r.Seq())
+	}
+	if id := r.Add(xs[10]); id != 10 {
+		t.Fatalf("Add after restore assigned id %d, want 10", id)
+	}
+}
+
 // TestRestoreRejects covers the failure paths: non-empty engine, kernel
 // mismatch, and corruption anywhere in the stream.
 func TestRestoreRejects(t *testing.T) {
@@ -204,8 +234,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // TestSnapshotBuffersWrites: a snapshot reaches its writer in buffer-sized
-// chunks, not one Write per id slot of every binary block (sketch vectors,
-// self-similarities), absent slots included.
+// chunks, not one Write per id and per string.
 func TestSnapshotBuffersWrites(t *testing.T) {
 	xs := corpus(t, 48, 5)
 	e := New(Options{Kernel: &core.Kast{CutWeight: 2}})
@@ -324,7 +353,7 @@ func TestInsertCallerIDs(t *testing.T) {
 		{"repeated id", []int{8, 8}, xs[3:5], false},
 		{"decreasing ids", []int{9, 8}, xs[3:5], false},
 		{"count mismatch", []int{9}, xs[3:5], false},
-		{"id at the id-space limit", []int{9, matrixio.MaxSlots}, xs[3:5], true},
+		{"id at the id-space limit", []int{9, MaxIDs}, xs[3:5], true},
 		{"huge id", []int{1 << 40}, xs[3:4], true},
 	} {
 		err := e.Insert(c.ids, c.xs)
@@ -367,15 +396,15 @@ func TestInsertCallerIDs(t *testing.T) {
 	}
 }
 
-// TestIDSpaceLimit: the id space ends where a snapshot block's slots do.
-// An engine holding the last id still snapshots and restores; every insert
+// TestIDSpaceLimit: the id space ends at MaxIDs. An engine holding the
+// last id still snapshots and restores; every insert
 // past it is refused with ErrIDSpaceFull before it is logged, and Add
 // reports the refusal as id -1.
 func TestIDSpaceLimit(t *testing.T) {
 	xs := corpus(t, 2, 5)
 	log := &recordingLog{}
 	e := New(Options{Kernel: &core.Kast{CutWeight: 2}, SketchDim: -1, Log: log})
-	last := matrixio.MaxSlots - 1
+	last := MaxIDs - 1
 	if err := e.Insert([]int{last}, xs[:1]); err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +414,7 @@ func TestIDSpaceLimit(t *testing.T) {
 	if id := e.Add(xs[1]); id != -1 {
 		t.Fatalf("Add past the limit = %d, want -1", id)
 	}
-	if len(log.inserts) != 1 || e.Len() != 1 || e.NextID() != matrixio.MaxSlots || e.Err() != nil {
+	if len(log.inserts) != 1 || e.Len() != 1 || e.NextID() != MaxIDs || e.Err() != nil {
 		t.Fatalf("refusals changed state: %d inserts logged, Len=%d NextID=%d Err=%v",
 			len(log.inserts), e.Len(), e.NextID(), e.Err())
 	}
@@ -398,7 +427,7 @@ func TestIDSpaceLimit(t *testing.T) {
 	if err := r.Restore(&buf); err != nil {
 		t.Fatalf("restore at the limit: %v", err)
 	}
-	if r.NextID() != matrixio.MaxSlots || !r.Has(last) || r.Len() != 1 {
+	if r.NextID() != MaxIDs || !r.Has(last) || r.Len() != 1 {
 		t.Fatalf("restored NextID=%d Has(last)=%v Len=%d", r.NextID(), r.Has(last), r.Len())
 	}
 }

@@ -66,8 +66,8 @@ func TestSketchIncrementalVsBatchEquivalence(t *testing.T) {
 }
 
 // TestSketchSnapshotRestoreBitIdentical asserts crash-recovery fidelity at
-// the engine level: a snapshot carries the sketch index, and a restored
-// engine holds exactly the same bits — without recomputing them.
+// the engine level: a snapshot carries the strings, and the engine that
+// restores it rebuilds exactly the same sketch bits from them.
 func TestSketchSnapshotRestoreBitIdentical(t *testing.T) {
 	xs := corpus(t, 16, 9)
 	opts := Options{Kernel: &core.Kast{CutWeight: 2}, SketchDim: 96, SketchSeed: 3}
@@ -109,9 +109,9 @@ func TestSketchSnapshotRestoreBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSketchRestoreReconfigured: restoring a snapshot under a different
-// sketch configuration discards the persisted vectors and recomputes, so
-// the restored engine matches a from-scratch engine with the new config.
+// TestSketchRestoreReconfigured: a snapshot carries no sketches, so an
+// engine with a different sketch configuration restores it by sketching
+// under its own, and matches a from-scratch engine with that config.
 func TestSketchRestoreReconfigured(t *testing.T) {
 	xs := corpus(t, 12, 2)
 	old := New(Options{Kernel: &core.Kast{CutWeight: 2}, SketchDim: 64, SketchSeed: 1})
@@ -136,7 +136,7 @@ func TestSketchRestoreReconfigured(t *testing.T) {
 
 // TestSketchDisabled: SketchDim < 0 turns the subsystem off; approximate
 // queries fail cleanly, query-by-trace degrades to the exact scan, and
-// snapshots round-trip without a sketch section.
+// snapshots round-trip.
 func TestSketchDisabled(t *testing.T) {
 	xs := corpus(t, 8, 4)
 	e := New(Options{Kernel: &core.Kast{CutWeight: 2}, SketchDim: -1})
@@ -173,7 +173,7 @@ func TestSketchDisabled(t *testing.T) {
 }
 
 // TestSketchDisabledReadsSketchSnapshot: an engine without sketching must
-// still restore a snapshot that carries sketches (the block is skipped).
+// restore a snapshot written by one that sketches.
 func TestSketchDisabledReadsSketchSnapshot(t *testing.T) {
 	xs := corpus(t, 8, 6)
 	withSketch := New(Options{Kernel: &core.Kast{CutWeight: 2}, SketchDim: 64})

@@ -10,7 +10,6 @@ import (
 
 	"iokast/internal/core"
 	"iokast/internal/engine"
-	"iokast/internal/matrixio"
 	"iokast/internal/token"
 	"iokast/internal/trace"
 )
@@ -269,7 +268,7 @@ func TestServeIDSpaceFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := core.Convert(tr, core.Options{})
-	if err := eng.Insert([]int{matrixio.MaxSlots - 1}, []token.String{x}); err != nil {
+	if err := eng.Insert([]int{engine.MaxIDs - 1}, []token.String{x}); err != nil {
 		t.Fatal(err)
 	}
 	s := New(eng, nil, nil, core.Options{})

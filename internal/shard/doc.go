@@ -14,10 +14,11 @@
 // so every reopen routes identically. There is one id space: each shard
 // engine stores its traces under their corpus-wide ids
 // (engine.Engine.Insert), and the ids routed elsewhere are empty slots in
-// it. So the snapshot slot limit, matrixio.MaxSlots, bounds the corpus as a
+// it. So the engine's id bound, engine.MaxIDs, bounds the corpus as a
 // whole, not each shard: a batch that would cross it is refused before any
-// shard inserts a part of it. Batch ingest is split into per-shard sub-batches inserted in
-// parallel — one WAL record and one fsync per shard.
+// shard inserts a part of it. Batch ingest is split into per-shard
+// sub-batches inserted in parallel — one WAL record and one fsync per
+// shard.
 //
 // # Fan-out queries
 //

@@ -13,7 +13,6 @@ import (
 
 	"iokast/internal/core"
 	"iokast/internal/engine"
-	"iokast/internal/matrixio"
 	"iokast/internal/obs"
 	"iokast/internal/store"
 	"iokast/internal/token"
@@ -237,7 +236,7 @@ func (s *Sharded) Add(x token.String) int {
 // sub-batches that are inserted in parallel under their global ids, each
 // paying one WAL record and one fsync in its own shard — cross-shard
 // ingest scales with the shard count. One id space spans the shards, so a
-// batch that would run past matrixio.MaxSlots is refused whole with
+// batch that would run past engine.MaxIDs is refused whole with
 // engine.ErrIDSpaceFull before any shard sees it. Otherwise the returned
 // error is the first per-shard persistence error; as with the single
 // engine, the in-memory insertion has still happened.
@@ -254,7 +253,7 @@ func (s *Sharded) AddBatch(xs []token.String) ([]int, error) {
 	s.ingest.Lock()
 	defer s.ingest.Unlock()
 	next := s.nextID()
-	if next+m > matrixio.MaxSlots {
+	if next+m > engine.MaxIDs {
 		return nil, fmt.Errorf("%w: batch of %d at id %d", engine.ErrIDSpaceFull, m, next)
 	}
 	ids := make([]int, m)

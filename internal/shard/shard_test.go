@@ -17,7 +17,6 @@ import (
 	"iokast/internal/engine"
 	"iokast/internal/iogen"
 	"iokast/internal/kernel"
-	"iokast/internal/matrixio"
 	"iokast/internal/sketch"
 	"iokast/internal/store"
 	"iokast/internal/token"
@@ -553,6 +552,53 @@ func TestShardedDurableReopen(t *testing.T) {
 	}
 }
 
+// TestShardedRemovedTopIDNotReused: the corpus-wide highest id, removed,
+// stays taken across a reopen, after Close and after a crash that follows
+// a checkpoint of every shard (recovery then restores the snapshots and
+// replays nothing). The shard that owned the id holds no live trace at or
+// above it, so only the next id its snapshot records keeps the id from
+// being assigned again.
+func TestShardedRemovedTopIDNotReused(t *testing.T) {
+	xs := corpus(t, 13, 5)
+	for _, closed := range []bool{true, false} {
+		t.Run(fmt.Sprintf("closed=%v", closed), func(t *testing.T) {
+			dir := t.TempDir()
+			opt := kastOptions()
+			opt.Shards = 4
+			s, err := Open(dir, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.AddBatch(xs[:12]); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Remove(11); err != nil {
+				t.Fatal(err)
+			}
+			if closed {
+				err = s.Close()
+			} else {
+				err = s.Snapshot() // then killed: no Close
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			r, err := Open(dir, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if r.NextID() != 12 || r.Len() != 11 || r.Has(11) {
+				t.Fatalf("reopened NextID=%d Len=%d Has(11)=%v, want 12, 11, false", r.NextID(), r.Len(), r.Has(11))
+			}
+			if id := r.Add(xs[12]); id != 12 {
+				t.Fatalf("Add after reopen assigned id %d, want 12", id)
+			}
+		})
+	}
+}
+
 // TestShardedKillWithoutClose is the clean crash: every mutation was
 // acknowledged (per-shard WAL fsynced), the process dies without Close, and
 // reopening must reproduce the corpus exactly.
@@ -721,8 +767,8 @@ func assertSameStrings(t *testing.T, wantStrings []token.String, wantIDs []int, 
 	}
 }
 
-// TestShardedIDSpaceLimit: one id space spans the shards, so the snapshot
-// slot limit bounds the corpus as a whole. A batch that would cross it is
+// TestShardedIDSpaceLimit: one id space spans the shards, so the engine's
+// id bound bounds the corpus as a whole. A batch that would cross it is
 // refused whole, before any shard inserts a part of it, and Add past it
 // returns -1. One shard, whose batches are its engine's own, is held to the
 // same.
@@ -743,7 +789,7 @@ func testIDSpaceLimit(t *testing.T, shards int) {
 	}
 	// An id inserted and removed just below the last one leaves the corpus
 	// empty with its next id at the last slot.
-	last := matrixio.MaxSlots - 1
+	last := engine.MaxIDs - 1
 	if err := s.owner(last-1).Insert([]int{last - 1}, xs[:1]); err != nil {
 		t.Fatal(err)
 	}
@@ -765,8 +811,8 @@ func testIDSpaceLimit(t *testing.T, shards int) {
 	if id := s.Add(xs[0]); id != last || !s.Has(last) {
 		t.Fatalf("Add of the last id = %d (Has=%v), want %d", id, s.Has(last), last)
 	}
-	if id := s.Add(xs[1]); id != -1 || s.NextID() != matrixio.MaxSlots || s.Len() != 1 {
-		t.Fatalf("Add past the limit = %d, NextID=%d Len=%d; want -1, %d, 1", id, s.NextID(), s.Len(), matrixio.MaxSlots)
+	if id := s.Add(xs[1]); id != -1 || s.NextID() != engine.MaxIDs || s.Len() != 1 {
+		t.Fatalf("Add past the limit = %d, NextID=%d Len=%d; want -1, %d, 1", id, s.NextID(), s.Len(), engine.MaxIDs)
 	}
 }
 

@@ -32,8 +32,8 @@
 // Everything here is deterministic in (input, Options): the same string
 // sketched twice, on any machine, in any corpus, yields bit-identical
 // vectors. That is what lets the engine rebuild its sketch index
-// bit-identically from a WAL replay, lets snapshots persist raw vector
-// bits, and lets every shard of a sharded corpus share one query's
+// bit-identically from a WAL replay or a snapshot, which holds strings
+// only, and lets every shard of a sharded corpus share one query's
 // sketch. FuzzSketchDeterminism and the package recall/equivalence tests
 // pin it.
 //

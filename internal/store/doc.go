@@ -1,8 +1,12 @@
 // Package store persists the engine: an append-only,
-// CRC-checked write-ahead log of canonicalized traces plus periodic binary
-// snapshots of the full engine state, committed with atomic renames. A
-// killed process restarts into a bit-identical engine by restoring the
-// newest snapshot and replaying only the log records after it.
+// CRC-checked write-ahead log of canonicalized traces plus periodic
+// snapshots of the corpus strings, committed with atomic renames. A killed
+// process restarts into a bit-identical engine by restoring the newest
+// snapshot and replaying only the log records after it; both rebuild each
+// trace's sketch and self-similarity from its string. When a snapshot
+// cannot be restored, recovery falls back to the next older one, then to
+// replay alone, and a failed recovery reports why each candidate was
+// refused.
 //
 // # Durability contract
 //

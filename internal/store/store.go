@@ -199,30 +199,40 @@ func matchSeq(name, pattern string, seq *uint64) bool {
 }
 
 // recover builds an engine from the newest usable snapshot plus replay.
+// When no candidate recovers, the error joins every candidate's reason,
+// newest snapshot first, each naming its snapshot.
 func (s *Store) recover(newEngine func() *engine.Engine, snaps, segs []segment) (*engine.Engine, bool, error) {
 	// Try snapshots newest-first; append the "no snapshot" case.
 	candidates := append(append([]segment(nil), snaps...), segment{0, ""})
-	var lastErr error
+	var errs []error
 	for _, snap := range candidates {
 		eng := newEngine()
-		if snap.path != "" {
-			if err := restoreSnapshot(eng, snap.path); err != nil {
-				lastErr = err
-				continue
-			}
-			if eng.Seq() != snap.start {
-				lastErr = fmt.Errorf("store: snapshot %s holds seq %d", snap.path, eng.Seq())
-				continue
-			}
+		torn, err := s.recoverFrom(eng, snap, segs)
+		if err == nil {
+			return eng, torn, nil
 		}
-		torn, err := s.replay(eng, segs, snap.start)
-		if err != nil {
-			lastErr = err
-			continue
+		if snap.path == "" {
+			err = fmt.Errorf("store: replay without a snapshot: %w", err)
+		} else {
+			err = fmt.Errorf("store: snapshot %s: %w", snap.path, err)
 		}
-		return eng, torn, nil
+		errs = append(errs, err)
 	}
-	return nil, false, fmt.Errorf("store: recovery failed: %w", lastErr)
+	return nil, false, fmt.Errorf("store: recovery failed: %w", errors.Join(errs...))
+}
+
+// recoverFrom restores snap into eng, unless snap.path is empty, and
+// replays the records after it.
+func (s *Store) recoverFrom(eng *engine.Engine, snap segment, segs []segment) (torn bool, err error) {
+	if snap.path != "" {
+		if err := restoreSnapshot(eng, snap.path); err != nil {
+			return false, err
+		}
+		if eng.Seq() != snap.start {
+			return false, fmt.Errorf("store: restored seq %d, the file name says %d", eng.Seq(), snap.start)
+		}
+	}
+	return s.replay(eng, segs, snap.start)
 }
 
 func restoreSnapshot(eng *engine.Engine, path string) (err error) {

@@ -17,7 +17,6 @@ import (
 	"iokast/internal/engine"
 	"iokast/internal/iogen"
 	"iokast/internal/kernel"
-	"iokast/internal/matrixio"
 	"iokast/internal/token"
 )
 
@@ -313,36 +312,55 @@ func TestCorruptMidRecordStopsReplay(t *testing.T) {
 
 // TestCorruptSnapshotFallsBackToWAL: an unreadable snapshot must not brick
 // the store — recovery falls back to an older snapshot or pure replay.
+// Here neither exists, so Open fails, and its error says why each
+// candidate was refused: the snapshot by name with the reason Restore
+// gave (a CRC mismatch for a flipped bit; an unknown version byte is
+// refused before the CRC is reached), then the replay gap.
 func TestCorruptSnapshotFallsBackToWAL(t *testing.T) {
-	dir := t.TempDir()
 	xs := corpus(t, 10, 8)
-	eng, st := mustOpen(t, dir)
-	for _, x := range xs {
-		eng.Add(x)
-	}
-	if err := st.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the snapshot; the WAL still holds everything (the segment
-	// before rotation covers seq 0..10 and is only removed once obsolete —
-	// but rotation already dropped it, so corrupt-snapshot recovery must
-	// fail cleanly instead of inventing data).
-	snaps, _, err := scanDir(dir)
-	if err != nil || len(snaps) == 0 {
-		t.Fatalf("scan: %v, %d snaps", err, len(snaps))
-	}
-	raw, err := os.ReadFile(snaps[0].path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0x01
-	if err := os.WriteFile(snaps[0].path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(dir, kastEngine, Options{SnapshotEvery: -1}); err == nil {
-		t.Fatal("Open succeeded with a corrupt snapshot and no covering WAL")
-	} else if !strings.Contains(err.Error(), "recovery failed") {
-		t.Fatalf("unexpected error: %v", err)
+	for _, c := range []struct {
+		name    string
+		corrupt func(raw []byte)
+		want    string
+	}{
+		{"bit flip", func(raw []byte) { raw[len(raw)/2] ^= 0x01 }, "snapshot crc mismatch"},
+		{"unknown version", func(raw []byte) { raw[len("IOKSNAP1")] = 9 }, "unsupported snapshot version 9"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			eng, st := mustOpen(t, dir)
+			for _, x := range xs {
+				eng.Add(x)
+			}
+			if err := st.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			// Corrupt the snapshot; the WAL still holds everything (the segment
+			// before rotation covers seq 0..10 and is only removed once obsolete —
+			// but rotation already dropped it, so corrupt-snapshot recovery must
+			// fail cleanly instead of inventing data).
+			snaps, _, err := scanDir(dir)
+			if err != nil || len(snaps) == 0 {
+				t.Fatalf("scan: %v, %d snaps", err, len(snaps))
+			}
+			raw, err := os.ReadFile(snaps[0].path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.corrupt(raw)
+			if err := os.WriteFile(snaps[0].path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = Open(dir, kastEngine, Options{SnapshotEvery: -1})
+			if err == nil {
+				t.Fatal("Open succeeded with a corrupt snapshot and no covering WAL")
+			}
+			for _, want := range []string{"recovery failed", "snapshot " + snaps[0].path + ": ", c.want, "replay gap"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not say %q", err, want)
+				}
+			}
+		})
 	}
 }
 
@@ -581,11 +599,11 @@ func TestReplayRefusesMissingSegment(t *testing.T) {
 
 // TestReplayRefusesIDPastLimit: a CRC is no MAC, so a well-formed insert
 // record may carry any id. Replay goes through engine.Insert, which must
-// refuse an id past the snapshot slot limit before it sizes anything by
+// refuse an id past the engine's id bound before it sizes anything by
 // it; the directory fails to open instead of allocating up to that id.
 func TestReplayRefusesIDPastLimit(t *testing.T) {
 	xs := corpus(t, 2, 13)
-	for _, ids := range [][]int{{1 << 40}, {0, matrixio.MaxSlots}} {
+	for _, ids := range [][]int{{1 << 40}, {0, engine.MaxIDs}} {
 		dir := t.TempDir()
 		var buf bytes.Buffer
 		encodeRecord(&buf, record{typ: recInsert, ids: ids, strings: xs[:len(ids)]})
