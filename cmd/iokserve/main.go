@@ -38,11 +38,15 @@
 //	         [-stream-window 256] [-stream-stride 64] [-max-sessions 1024]
 //	         [-slow-request 1s] [-log-level info] [-pprof-addr ADDR]
 //
+// -workers is the max goroutines per fan-out: batch parse and convert, and
+// kernel evaluation (0 = GOMAXPROCS).
+//
 // Endpoints:
 //
 //	POST   /traces           body = trace text; returns {"id": n, ...}
 //	POST   /traces/batch     body = {"traces": ["...", ...]}; one WAL
-//	                         commit for the whole batch
+//	                         commit for the whole batch, whose traces are
+//	                         parsed and converted in parallel at -workers
 //	DELETE /traces/{id}      remove a trace from the corpus (durable)
 //	GET    /similar?id=&k=   top-k most similar corpus entries (exact: one
 //	                         kernel evaluation per live trace)
@@ -128,7 +132,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cut := flag.Int("cut", 2, "Kast cut weight")
 	noBytes := flag.Bool("nobytes", false, "ignore byte counts when converting traces")
-	workers := flag.Int("workers", 0, "max goroutines for kernel evaluation (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "max goroutines per fan-out: batch parse and convert, and kernel evaluation (0 = GOMAXPROCS)")
 	dataDir := flag.String("data-dir", "", "directory for WAL + snapshots; empty = in-memory only")
 	snapshotEvery := flag.Int("snapshot-every", 1024, "mutations between automatic snapshots (<0 disables)")
 	noSync := flag.Bool("nosync", false, "skip fsync per WAL append (faster, loses recent writes on machine crash)")

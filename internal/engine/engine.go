@@ -141,6 +141,10 @@ func New(opt Options) *Engine {
 // Kernel returns the engine's kernel.
 func (e *Engine) Kernel() *core.Kast { return e.kast }
 
+// Workers returns Options.Workers as the engine was built with it: the
+// goroutine bound of its fan-outs, where <= 0 means GOMAXPROCS.
+func (e *Engine) Workers() int { return e.workers }
+
 // Len returns the number of live (non-removed) corpus entries.
 func (e *Engine) Len() int {
 	e.mu.RLock()

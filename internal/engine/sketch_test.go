@@ -109,6 +109,31 @@ func TestSketchSnapshotRestoreBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSketchRestoreTopIDRemoved: a restore allocates slots for live ids
+// only, so an engine whose highest id was removed restores to an index
+// with one slot fewer; the live state, which is what Equal compares, is
+// the same.
+func TestSketchRestoreTopIDRemoved(t *testing.T) {
+	opts := Options{Kernel: &core.Kast{CutWeight: 2}}
+	e := New(opts)
+	if _, err := e.AddBatch(corpus(t, 10, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Remove(9); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := e.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rec := New(opts)
+	if err := rec.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sketchStatesEqual(t, e, rec)
+	sketchStatesEqual(t, rec, e)
+}
+
 // TestSketchRestoreReconfigured: a snapshot carries no sketches, so an
 // engine with a different sketch configuration restores it by sketching
 // under its own, and matches a from-scratch engine with that config.

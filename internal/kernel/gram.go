@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -73,9 +75,16 @@ func SymmetricGram(n, workers int, eval func(i, j int) float64) *linalg.Matrix {
 
 // ParallelFor runs fn(i) for i in [0, n) on up to `workers` goroutines
 // (workers <= 0 means GOMAXPROCS). fn must be safe to call concurrently for
-// distinct i. It is the shared fan-out primitive for Gram computation and
-// for the incremental engine's row updates, so a single --workers setting
-// bounds both.
+// distinct i. It is the shared fan-out primitive for Gram computation, the
+// incremental engine's ingest and row fan-outs, and the server's batch
+// parse, so a single --workers setting bounds them all.
+//
+// A panic in fn is re-raised on the caller's goroutine, where a deferred
+// recover (net/http's, for one) can catch it: the first panicking worker
+// stops further indices from being claimed, the others finish the one they
+// hold, and once all have returned ParallelFor panics with a *WorkerPanic
+// carrying that first value and its worker's stack. With one worker fn
+// runs on the caller's goroutine and panics there directly.
 func ParallelFor(n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -97,13 +106,20 @@ func ParallelFor(n, workers int, fn func(i int)) {
 	// per request — that dispatch overhead was a measurable slice of the
 	// row computation.
 	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
+		wg    sync.WaitGroup
+		next  atomic.Int64
+		first atomic.Pointer[WorkerPanic]
 	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					first.CompareAndSwap(nil, &WorkerPanic{Value: v, Stack: debug.Stack()})
+					next.Store(int64(n)) // claim nothing more
+				}
+			}()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -114,6 +130,28 @@ func ParallelFor(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+	if p := first.Load(); p != nil {
+		panic(p)
+	}
+}
+
+// WorkerPanic is what ParallelFor panics with when fn panicked on one of
+// its worker goroutines: the recovered value and that goroutine's stack,
+// which the caller's own stack no longer shows.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("%v\n\nworker goroutine stack:\n%s", p.Value, p.Stack)
+}
+
+// Unwrap returns the recovered value when it is an error, so errors.Is and
+// errors.As see through the wrapper.
+func (p *WorkerPanic) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
 }
 
 // NormalizeCosine rescales a Gram matrix so the diagonal becomes 1:

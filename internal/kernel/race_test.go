@@ -1,7 +1,10 @@
 package kernel
 
 import (
+	"errors"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"iokast/internal/token"
@@ -25,6 +28,49 @@ func TestParallelForRace(t *testing.T) {
 	}
 	// n = 0 must not deadlock or spawn anything.
 	ParallelFor(0, 4, func(int) { t.Fatal("fn called for empty range") })
+}
+
+// TestParallelForRepanics: a panic on a worker goroutine comes back on the
+// caller's goroutine, after every worker has returned, as a *WorkerPanic
+// holding the value and the panicking worker's stack. One worker runs fn
+// on the caller's goroutine, so its panic is the raw value.
+func TestParallelForRepanics(t *testing.T) {
+	boom := errors.New("boom at 37")
+	var running atomic.Int64
+	fn := func(i int) {
+		running.Add(1)
+		defer running.Add(-1)
+		if i == 37 {
+			panic(boom)
+		}
+	}
+	recovered := func(workers int) (v any) {
+		defer func() { v = recover() }()
+		ParallelFor(100, workers, fn)
+		return nil
+	}
+
+	v := recovered(4)
+	p, ok := v.(*WorkerPanic)
+	if !ok {
+		t.Fatalf("ParallelFor(100, 4) panicked with %T %v, want *WorkerPanic", v, v)
+	}
+	if p.Value != boom || !errors.Is(p, boom) {
+		t.Fatalf("WorkerPanic.Value = %v, want %v", p.Value, boom)
+	}
+	if !strings.Contains(string(p.Stack), "TestParallelForRepanics") {
+		t.Fatalf("WorkerPanic.Stack does not show the panicking fn:\n%s", p.Stack)
+	}
+	if !strings.Contains(p.Error(), "boom at 37") {
+		t.Fatalf("WorkerPanic.Error() = %q", p.Error())
+	}
+	if n := running.Load(); n != 0 {
+		t.Fatalf("%d calls of fn still running after the re-panic", n)
+	}
+
+	if v := recovered(1); v != boom {
+		t.Fatalf("serial ParallelFor panicked with %T %v, want the raw value", v, v)
+	}
 }
 
 // TestGramConcurrentSameKernel runs Gram concurrently on one shared kernel

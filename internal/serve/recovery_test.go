@@ -7,13 +7,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"iokast/internal/core"
 	"iokast/internal/engine"
+	"iokast/internal/shard"
 	"iokast/internal/store"
 	"iokast/internal/token"
+	"iokast/internal/trace"
 )
 
 // durableServer opens a server over dir with automatic snapshots disabled,
@@ -67,6 +70,151 @@ func TestServeBatchEndpoint(t *testing.T) {
 	doJSON(t, s, http.MethodPost, "/traces/batch", `{"traces": []}`, http.StatusBadRequest)
 	doJSON(t, s, http.MethodPost, "/traces/batch", `{`, http.StatusBadRequest)
 	doJSON(t, s, http.MethodGet, "/traces/batch", "", http.StatusMethodNotAllowed)
+}
+
+// TestServeBatchLowestFailingIndex: with traces parsed in parallel, a batch
+// whose traces 1 and 3 are bad still names trace 1, at every worker bound
+// and every time, and ingests and logs nothing.
+func TestServeBatchLowestFailingIndex(t *testing.T) {
+	_, wantErr := trace.ParseString("not a trace")
+	if wantErr == nil {
+		t.Fatal("bad trace parses")
+	}
+	body := batchBody(traceA, "not a trace", traceB, "also not a trace", traceA)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			eopt := engine.Options{Kernel: &core.Kast{CutWeight: 2}, Workers: workers}
+			eng, st, err := store.Open(t.TempDir(), func() *engine.Engine { return engine.New(eopt) },
+				store.Options{SnapshotEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			s := New(eng, st, nil, core.Options{})
+			doJSON(t, s, http.MethodPost, "/traces/batch", batchBody(traceA, traceB), http.StatusCreated)
+			before := st.Stats()
+			for range 20 {
+				resp := doJSON(t, s, http.MethodPost, "/traces/batch", body, http.StatusBadRequest)
+				if want := "trace 1: " + wantErr.Error(); resp["error"] != want {
+					t.Fatalf("error %q, want %q", resp["error"], want)
+				}
+			}
+			if n := eng.Len(); n != 2 {
+				t.Fatalf("corpus holds %d traces after rejected batches, want 2", n)
+			}
+			if after := st.Stats(); after.Seq != before.Seq || after.AppendedRecords != before.AppendedRecords {
+				t.Fatalf("rejected batches reached the WAL: seq %d -> %d, records %d -> %d",
+					before.Seq, after.Seq, before.AppendedRecords, after.AppendedRecords)
+			}
+		})
+	}
+}
+
+// TestServeBatchFallbackBodies: bodies the one-pass decoder declines go to
+// encoding/json and are answered as encoding/json decodes them.
+func TestServeBatchFallbackBodies(t *testing.T) {
+	jsonErr := func(body string) string {
+		var req batchRequest
+		err := json.Unmarshal([]byte(body), &req)
+		if err == nil {
+			t.Fatalf("json.Unmarshal accepts %q", body)
+		}
+		return "parse batch JSON: " + err.Error()
+	}
+	escapedA := strings.Replace(batchBody(traceA), "writerA", `\u0041lpha`, 1)
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		check      func(resp map[string]any) error
+	}{
+		{"other key case", `{"Traces": ` + batchBody(traceA)[len(`{"traces":`):], http.StatusCreated, func(resp map[string]any) error {
+			if name := resp["traces"].([]any)[0].(map[string]any)["name"]; name != "writerA" {
+				return fmt.Errorf("name %v", name)
+			}
+			return nil
+		}},
+		{"unicode escape", escapedA, http.StatusCreated, func(resp map[string]any) error {
+			if name := resp["traces"].([]any)[0].(map[string]any)["name"]; name != "Alpha" {
+				return fmt.Errorf("name %v, want the decoded Alpha", name)
+			}
+			return nil
+		}},
+		{"truncated", `{`, http.StatusBadRequest, errorIs(jsonErr(`{`))},
+		{"trailing garbage", batchBody(traceA) + " x", http.StatusBadRequest, errorIs(jsonErr(batchBody(traceA) + " x"))},
+		{"null traces", `{"traces": null}`, http.StatusBadRequest, errorIs("empty batch")},
+		{"empty traces", `{"traces": []}`, http.StatusBadRequest, errorIs("empty batch")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, ok := decodeBatch([]byte(tc.body)); ok && tc.status == http.StatusCreated {
+				t.Fatalf("the one-pass decoder takes %q; this case is for encoding/json", tc.body)
+			}
+			resp := doJSON(t, testServer(), http.MethodPost, "/traces/batch", tc.body, tc.status)
+			if err := tc.check(resp); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+func errorIs(want string) func(map[string]any) error {
+	return func(resp map[string]any) error {
+		if resp["error"] != want {
+			return fmt.Errorf("error %q, want %q", resp["error"], want)
+		}
+		return nil
+	}
+}
+
+// TestServeBatchWorkloadAnswers: a 64-trace load-generator batch on four
+// shards answers ids 0..63 in order with the name, token count and weight
+// that parsing and converting each trace on its own gives.
+func TestServeBatchWorkloadAnswers(t *testing.T) {
+	texts, body := workloadBatch(t, 3, 64)
+	sh, err := shard.New(shard.Options{Shards: 4, Engine: engine.Options{Kernel: &core.Kast{CutWeight: 2}, Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSharded(sh, nil, core.Options{})
+	resp := doJSON(t, s, http.MethodPost, "/traces/batch", string(body), http.StatusCreated)
+	metas := resp["traces"].([]any)
+	if resp["count"].(float64) != 64 || len(metas) != 64 {
+		t.Fatalf("count %v, %d metas", resp["count"], len(metas))
+	}
+	for i, m := range metas {
+		tr, err := trace.ParseString(texts[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := core.Convert(tr, core.Options{})
+		want := map[string]any{"id": float64(i), "tokens": float64(len(x)), "weight": float64(x.Weight())}
+		if tr.Name != "" {
+			want["name"] = tr.Name
+		}
+		if !reflect.DeepEqual(m, want) {
+			t.Fatalf("trace %d: %v, want %v", i, m, want)
+		}
+	}
+}
+
+// TestServeBodyReadForgedLength: a declared Content-Length sizes the body
+// buffer only up to a cap, so a request that declares maxBatchBody bytes
+// and sends 10 allocates far less than it declared, and is still refused
+// on what it sent.
+func TestServeBodyReadForgedLength(t *testing.T) {
+	s := testServer()
+	r := httptest.NewRequest(http.MethodPost, "/traces/batch", strings.NewReader(`{"traces":`))
+	r.ContentLength = maxBatchBody
+	w := httptest.NewRecorder()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	s.ServeHTTP(w, r)
+	runtime.ReadMemStats(&m1)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", w.Code, w.Body)
+	}
+	if d := m1.TotalAlloc - m0.TotalAlloc; d >= 2<<20 {
+		t.Fatalf("a 10-byte body declared at %d bytes allocated %d bytes", maxBatchBody, d)
+	}
 }
 
 // TestServeCrashRecovery is the end-to-end durability test: ingest over

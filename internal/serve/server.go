@@ -96,10 +96,41 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.S
 // sessions are then only swept on demand.
 func (s *Server) Close() { s.streams.Close() }
 
+// bodyPrealloc caps what readBody allocates on the strength of a declared
+// Content-Length alone; a body beyond it is read into a buffer that grows
+// only as its bytes arrive.
+const bodyPrealloc = 1 << 20
+
+// readBody reads the request body up to limit+1 bytes, so that a body over
+// limit shows by its length. The buffer starts at the declared
+// Content-Length plus one (the read that sees EOF then needs no growth),
+// capped at bodyPrealloc, where io.ReadAll would double from 512 bytes.
+func readBody(r *http.Request, limit int) ([]byte, error) {
+	size := 512
+	if cl := r.ContentLength; cl >= 0 {
+		size = int(min(cl, int64(limit), bodyPrealloc)) + 1
+	}
+	buf := make([]byte, 0, size)
+	body := io.LimitReader(r.Body, int64(limit)+1)
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+}
+
 // readTraceBody reads, parses, and converts one trace from the request
 // body, writing the HTTP error itself when it returns ok = false.
 func (s *Server) readTraceBody(w http.ResponseWriter, r *http.Request) (*trace.Trace, token.String, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxTraceBody+1))
+	body, err := readBody(r, maxTraceBody)
 	if err != nil {
 		httpError(w, r, http.StatusBadRequest, "read body: %v", err)
 		return nil, nil, false
@@ -144,18 +175,12 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// batchRequest is the POST /traces/batch body: each element is one trace
-// in the canonical text format, exactly as POST /traces accepts.
-type batchRequest struct {
-	Traces []string `json:"traces"`
-}
-
 func (s *Server) handleTracesBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, r, http.StatusMethodNotAllowed, `POST {"traces": ["<trace text>", ...]}`)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBody+1))
+	body, err := readBody(r, maxBatchBody)
 	if err != nil {
 		httpError(w, r, http.StatusBadRequest, "read body: %v", err)
 		return
@@ -164,37 +189,46 @@ func (s *Server) handleTracesBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, http.StatusRequestEntityTooLarge, "batch exceeds %d bytes", maxBatchBody)
 		return
 	}
-	var req batchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	texts, err := decodeBatchBody(body)
+	if err != nil {
 		httpError(w, r, http.StatusBadRequest, "parse batch JSON: %v", err)
 		return
 	}
-	if len(req.Traces) == 0 {
+	if len(texts) == 0 {
 		httpError(w, r, http.StatusBadRequest, "empty batch")
 		return
 	}
-	if len(req.Traces) > maxBatchTraces {
-		httpError(w, r, http.StatusRequestEntityTooLarge, "batch of %d traces exceeds limit %d", len(req.Traces), maxBatchTraces)
+	if len(texts) > maxBatchTraces {
+		httpError(w, r, http.StatusRequestEntityTooLarge, "batch of %d traces exceeds limit %d", len(texts), maxBatchTraces)
 		return
 	}
 	// Parse everything before ingesting anything: a batch is all-or-nothing
-	// at the validation stage, so one bad trace cannot half-apply it.
-	xs := make([]token.String, len(req.Traces))
+	// at the validation stage, so one bad trace cannot half-apply it. Each
+	// trace is parsed and converted on its own, into its own slots, over
+	// the corpus's worker bound; the lowest failing index is reported.
+	xs := make([]token.String, len(texts))
 	type meta struct {
 		ID     int    `json:"id"`
 		Name   string `json:"name,omitempty"`
 		Tokens int    `json:"tokens"`
 		Weight int    `json:"weight"`
 	}
-	metas := make([]meta, len(req.Traces))
-	for i, text := range req.Traces {
-		tr, err := trace.ParseString(text)
+	metas := make([]meta, len(texts))
+	errs := make([]error, len(texts))
+	kernel.ParallelFor(len(texts), s.c.Workers(), func(i int) {
+		tr, err := trace.ParseString(texts[i])
 		if err != nil {
-			httpError(w, r, http.StatusBadRequest, "trace %d: %v", i, err)
+			errs[i] = err
 			return
 		}
 		xs[i] = core.Convert(tr, s.copt)
 		metas[i] = meta{Name: tr.Name, Tokens: len(xs[i]), Weight: xs[i].Weight()}
+	})
+	for i, err := range errs {
+		if err != nil {
+			httpError(w, r, http.StatusBadRequest, "trace %d: %v", i, err)
+			return
+		}
 	}
 	ids, err := s.c.AddBatch(xs)
 	if errors.Is(err, engine.ErrIDSpaceFull) {
@@ -394,7 +428,7 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 			"labeled": reg.Len(),
 		})
 	case http.MethodPost:
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxLabelsBody+1))
+		body, err := readBody(r, maxLabelsBody)
 		if err != nil {
 			httpError(w, r, http.StatusBadRequest, "read body: %v", err)
 			return

@@ -476,6 +476,10 @@ func (s *Sharded) Seed() uint64 { return s.seed }
 // Kernel returns the kernel every shard engine runs.
 func (s *Sharded) Kernel() *core.Kast { return s.engines[0].Kernel() }
 
+// Workers returns the goroutine bound every shard engine was built with
+// (engine.Options.Workers; <= 0 means GOMAXPROCS).
+func (s *Sharded) Workers() int { return s.engines[0].Workers() }
+
 // SketchConfig reports the shared sketch configuration of the shards.
 func (s *Sharded) SketchConfig() (dim int, seed uint64, enabled bool) {
 	return s.engines[0].SketchConfig()

@@ -220,11 +220,12 @@ func before(a, b Candidate) bool {
 	return a.ID < b.ID
 }
 
-// Equal reports whether two indexes hold bit-identical state: same width,
-// same id space, same tombstones, per-id vectors equal bit for bit (NaNs
-// compare by bit pattern, so even those would have to match). Tests use
-// Equal to assert that incremental, batch, and recovered engines build the
-// same index.
+// Equal reports whether two indexes hold the same live state: same width,
+// same live ids, and per-id vectors equal bit for bit (NaNs compare by bit
+// pattern, so even those would have to match). Slots past the highest live
+// id do not count, so an index restored after its top ids were removed
+// equals the one it was saved from. Tests use Equal to assert that
+// incremental, batch, and recovered engines build the same index.
 func (ix *Index) Equal(o *Index) bool {
 	if ix == nil || o == nil {
 		return ix == o
@@ -233,11 +234,17 @@ func (ix *Index) Equal(o *Index) bool {
 	defer ix.mu.RUnlock()
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	if ix.dim != o.dim || ix.live != o.live || len(ix.vecs) != len(o.vecs) {
+	if ix.dim != o.dim || ix.live != o.live {
 		return false
 	}
-	for id, vec := range ix.vecs {
-		ov := o.vecs[id]
+	for id := range max(len(ix.vecs), len(o.vecs)) {
+		var vec, ov []float64 // nil past either index's slots
+		if id < len(ix.vecs) {
+			vec = ix.vecs[id]
+		}
+		if id < len(o.vecs) {
+			ov = o.vecs[id]
+		}
 		if (vec == nil) != (ov == nil) {
 			return false
 		}

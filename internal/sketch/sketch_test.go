@@ -171,4 +171,20 @@ func TestIndexEqual(t *testing.T) {
 	if a.Equal(b2) {
 		t.Fatal("different tombstones compare equal")
 	}
+	// Slots past the last live id do not count: an index whose top id was
+	// removed equals one that never had it.
+	top := build([]int{0, 1, 2, 3})
+	_ = top.Add(7, s.Sketch(randString(xrand.New(5), 20)))
+	top.Remove(7)
+	if !a.Equal(top) || !top.Equal(a) {
+		t.Fatal("a removed top id makes equal indexes differ")
+	}
+	// A vector differing in one bit does not.
+	flip := build([]int{0, 1, 2})
+	v := append([]float64(nil), a.Vec(3)...)
+	v[0] = math.Float64frombits(math.Float64bits(v[0]) ^ 1)
+	_ = flip.Add(3, v)
+	if a.Equal(flip) || flip.Equal(a) {
+		t.Fatal("different vectors compare equal")
+	}
 }
