@@ -222,11 +222,9 @@ func BenchmarkTraceParse(b *testing.B) {
 	}
 }
 
-// BenchmarkParseConvertWorkload times the front half of every ingest and
-// trace query, ParseString plus Convert, over the request mix the load
-// generator sends (iogen.LoadCategories bodies). One op is the whole mix,
-// so a fixed -benchtime=Nx run covers every category.
-func BenchmarkParseConvertWorkload(b *testing.B) {
+// workloadBodies returns the 32 load bodies the front-half benchmarks
+// convert per op, and their total size.
+func workloadBodies() ([]string, int) {
 	g := iogen.NewBodyGen(1, nil)
 	bodies := make([]string, 32)
 	total := 0
@@ -234,6 +232,15 @@ func BenchmarkParseConvertWorkload(b *testing.B) {
 		bodies[i], _ = g.Next()
 		total += len(bodies[i])
 	}
+	return bodies, total
+}
+
+// BenchmarkParseConvertWorkload times ParseString plus Convert, the
+// two-step front half, over the request mix the load generator sends
+// (iogen.LoadCategories bodies). One op is the whole mix, so a fixed
+// -benchtime=Nx run covers every category.
+func BenchmarkParseConvertWorkload(b *testing.B) {
+	bodies, total := workloadBodies()
 	b.SetBytes(int64(total))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -244,6 +251,23 @@ func BenchmarkParseConvertWorkload(b *testing.B) {
 				b.Fatal(err)
 			}
 			core.Convert(tr, core.Options{})
+		}
+	}
+}
+
+// BenchmarkConvertTextWorkload times ConvertText, the one-pass front half
+// of every ingest and trace query the server answers, over the same bodies
+// as BenchmarkParseConvertWorkload.
+func BenchmarkConvertTextWorkload(b *testing.B) {
+	bodies, total := workloadBodies()
+	b.SetBytes(int64(total))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, body := range bodies {
+			if _, _, err := core.ConvertText(body, core.Options{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -80,13 +80,14 @@ func TestFrontHalfAllocationBounds(t *testing.T) {
 	})
 	// Bodies that hold no op allocate next to nothing, whatever their size:
 	// nothing may be sized from the input before a line has parsed.
-	for _, c := range []struct {
+	noOps := []struct {
 		name, line string
 		wantErr    bool
 	}{
 		{"bad-first-line", "x\n", true},
 		{"comments-only", "# a comment line\n", false},
-	} {
+	}
+	for _, c := range noOps {
 		t.Run(c.name, func(t *testing.T) {
 			body := strings.Repeat(c.line, 4*size/len(c.line))
 			n := allocated(func() {
@@ -97,6 +98,58 @@ func TestFrontHalfAllocationBounds(t *testing.T) {
 			t.Logf("%d-byte body: parse allocated %d bytes", len(body), n)
 			if n >= 1<<20 {
 				t.Fatalf("parse of a %d-byte body allocated %d bytes, want under 1 MiB", len(body), n)
+			}
+		})
+	}
+
+	// The one pass the server runs builds no op slice. On the workload,
+	// whose runs merge rule 1 folds as ops arrive, that is most of what the
+	// two steps allocate; on a body with no run to fold it is still no
+	// more than they allocate.
+	t.Run("text-workload", func(t *testing.T) {
+		body := workloadBody(size)
+		n := allocated(func() {
+			if _, _, err := ConvertText(body, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perByte := float64(n) / float64(len(body))
+		t.Logf("%d bytes: ConvertText allocated %d bytes, %.2f per input byte", len(body), n, perByte)
+		if perByte > 6 {
+			t.Fatalf("ConvertText allocated %.2f bytes per input byte, want at most 6", perByte)
+		}
+	})
+	t.Run("text-alternating", func(t *testing.T) {
+		const pair = "read fh=1 bytes=1\nwrite fh=1 bytes=2\n"
+		body := strings.Repeat(pair, size/len(pair))
+		twoStep := allocated(func() {
+			tr, err := trace.ParseString(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			Convert(tr, Options{})
+		})
+		onePass := allocated(func() {
+			if _, _, err := ConvertText(body, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d bytes: ParseString+Convert allocated %d bytes, ConvertText %d", len(body), twoStep, onePass)
+		if onePass > twoStep {
+			t.Fatalf("ConvertText allocated %d bytes, more than the %d of ParseString+Convert", onePass, twoStep)
+		}
+	})
+	for _, c := range noOps {
+		t.Run("text-"+c.name, func(t *testing.T) {
+			body := strings.Repeat(c.line, 4*size/len(c.line))
+			n := allocated(func() {
+				if _, _, err := ConvertText(body, Options{}); (err != nil) != c.wantErr {
+					t.Errorf("ConvertText error = %v, want error %v", err, c.wantErr)
+				}
+			})
+			t.Logf("%d-byte body: ConvertText allocated %d bytes", len(body), n)
+			if n >= 1<<20 {
+				t.Fatalf("ConvertText of a %d-byte body allocated %d bytes, want under 1 MiB", len(body), n)
 			}
 		})
 	}

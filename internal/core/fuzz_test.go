@@ -1,9 +1,14 @@
 package core
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
+	"iokast/internal/iogen"
 	"iokast/internal/token"
+	"iokast/internal/trace"
+	"iokast/internal/tree"
 )
 
 // decodeWeighted turns fuzz bytes into a weighted string: each byte yields
@@ -71,6 +76,62 @@ func FuzzKastMatchesNaive(f *testing.F) {
 		pa, pb := in.Prepare(a), in.Prepare(b)
 		if prep := k.ComparePrepared(pa, pb); prep != fast {
 			t.Fatalf("ComparePrepared=%g, Compare=%g", prep, fast)
+		}
+	})
+}
+
+// FuzzConvertText holds the one-pass conversion to the two-step reference,
+// trace.ParseString, tree.Build, tree.Compress and token.FromTree, under
+// every kind of compression setting: the same name and tokens, or the same
+// error text. When long is set the text gains a 4 MiB line, over the
+// parser's line bound, so that the corpus keeps no 4 MiB entry.
+func FuzzConvertText(f *testing.F) {
+	for _, cat := range iogen.LoadCategories {
+		body, _ := iogen.NewBodyGen(1, []iogen.Category{cat}).Next()
+		f.Add(body, false)
+	}
+	f.Add("open fh=1\nread fh=1 path=", true)
+	for _, text := range []string{
+		// interleaved handles
+		"open fh=1\nopen fh=2\nread fh=1 bytes=8\nread fh=2 bytes=8\nread fh=1 bytes=8\nclose fh=2\nread fh=1 bytes=8\nclose fh=1\n",
+		// ops outside open..close, before and after a span
+		"read fh=3 bytes=4\nread fh=3 bytes=4\nopen fh=3\nwrite fh=3 bytes=4\nclose fh=3\nwrite fh=3 bytes=4\nwrite fh=3 bytes=4\nclose fh=9\n",
+		// a negligible op between two equal ops
+		"open fh=1\nread fh=1 bytes=8\nfstat fh=1\nread fh=1 bytes=8\nclose fh=1\n",
+		// equal ops on both sides of a close
+		"open fh=1\nread fh=1 bytes=8\nclose fh=1\nread fh=1 bytes=8\n",
+		// runs that rules 2-4 fold once rule 1 has
+		"% name=\"r\\tuns\" label=x\nopen fh=1\nlseek fh=1\nwrite fh=1 bytes=2\nwrite fh=1 bytes=2\nlseek fh=1\nwrite fh=1 bytes=4\nread fh=1 bytes=2 addr=0xff\n",
+		"# a comment\n\n# another\n",
+		"open fh=1\nread fh=1 bytes=8\nread fh=x\nclose fh=1\n",
+	} {
+		f.Add(text, false)
+	}
+	opts := []Options{
+		{},
+		{IgnoreBytes: true},
+		{Compress: tree.CompressOptions{Passes: -1}},
+		{Compress: tree.CompressOptions{Passes: 1}},
+		{Compress: tree.CompressOptions{Passes: NoCompression}},
+	}
+	f.Fuzz(func(t *testing.T, text string, long bool) {
+		if long {
+			text += strings.Repeat("p", 4<<20) + "\n"
+		}
+		tr, wantErr := trace.ParseString(text)
+		for _, opt := range opts {
+			name, x, err := ConvertText(text, opt)
+			if err != nil || wantErr != nil {
+				if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("%+v: ConvertText error %v, ParseString error %v", opt, err, wantErr)
+				}
+				continue
+			}
+			root := tree.Build(tr, opt.buildOptions())
+			tree.Compress(root, opt.compressOptions())
+			if want := token.FromTree(root); name != tr.Name || !reflect.DeepEqual(x, want) {
+				t.Fatalf("%+v: ConvertText = %q %v, want %q %v", opt, name, x, tr.Name, want)
+			}
 		}
 	})
 }

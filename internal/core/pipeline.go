@@ -48,8 +48,25 @@ func Convert(t *trace.Trace, opt Options) token.String {
 // ConvertTree is Convert stopping at the compressed tree, for tools that
 // want to render the intermediate representation.
 func ConvertTree(t *trace.Trace, opt Options) *tree.Node {
-	bopt := tree.BuildOptions{Negligible: opt.Negligible, IgnoreBytes: opt.IgnoreBytes}
-	return tree.BuildCompressed(t, bopt, opt.compressOptions())
+	return tree.BuildCompressed(t, opt.buildOptions(), opt.compressOptions())
+}
+
+// ConvertText is trace.ParseString followed by Convert, in one pass over
+// the text: each operation goes to the tree builder as its line is read,
+// so no op slice is built, and merge rule 1 folds runs as they arrive. It
+// returns the trace's header name and its weighted string, both equal to
+// the two-step results, or the error ParseString returns for text.
+func ConvertText(text string, opt Options) (name string, x token.String, err error) {
+	b := tree.NewBuilder(opt.buildOptions(), opt.compressOptions())
+	h, err := trace.ScanString(text, b.Add)
+	if err != nil {
+		return "", nil, err
+	}
+	return h.Name, token.FromTree(b.Finish()), nil
+}
+
+func (o Options) buildOptions() tree.BuildOptions {
+	return tree.BuildOptions{Negligible: o.Negligible, IgnoreBytes: o.IgnoreBytes}
 }
 
 // ConvertAll converts a slice of traces with shared options.

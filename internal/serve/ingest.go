@@ -16,6 +16,10 @@ import (
 // maxIngestLine bounds one NDJSON event line on POST /ingest.
 const maxIngestLine = 1 << 20
 
+// ingestLineBuffer is the event scanner's first buffer. Events are tens of
+// bytes; the scanner grows the buffer up to maxIngestLine for longer ones.
+const ingestLineBuffer = 4 << 10
+
 // ingestIdleTimeout is the per-event read deadline on an /ingest body: the
 // connection stays open as long as events keep arriving, and a client that
 // goes silent this long is disconnected. This is what lets the server run
@@ -109,7 +113,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64<<10), maxIngestLine)
+	sc.Buffer(make([]byte, ingestLineBuffer), maxIngestLine)
 	lineNo := 0
 	for {
 		// Heartbeat the read deadline per event instead of a whole-request

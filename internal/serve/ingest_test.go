@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -257,5 +258,42 @@ func TestServeIngestSessionLifecycle(t *testing.T) {
 			t.Fatalf("idle session survived the sweep: %v", resp["stream_sessions"])
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestServeIngestBuffer bounds what the event scanner allocates: a
+// one-event request allocates well under the 64 KiB a fixed first buffer
+// would take, while an event line of hundreds of KiB still reads whole and
+// one over maxIngestLine is refused as before.
+func TestServeIngestBuffer(t *testing.T) {
+	s := testServer()
+	seedLabeled(t, s)
+	event := `{"op":"write","handle":1,"bytes":4096}` + "\n"
+	if code, lines := doIngest(t, s, "/ingest", event); code != http.StatusOK || len(lines) != 1 {
+		t.Fatalf("one event: status %d, lines %v", code, lines)
+	}
+	var least uint64 = math.MaxUint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(event))
+		s.ServeHTTP(httptest.NewRecorder(), r)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("one-event /ingest request allocated %d bytes", least)
+	if least >= 64<<10 {
+		t.Fatalf("one-event /ingest request allocated %d bytes, want under 64 KiB", least)
+	}
+
+	long := func(pathLen int) string {
+		return `{"op":"open","handle":1,"path":"` + strings.Repeat("p", pathLen) + `"}` + "\n" + event
+	}
+	if code, lines := doIngest(t, s, "/ingest", long(300<<10)); code != http.StatusOK || len(lines) != 1 {
+		t.Fatalf("300 KiB event: status %d, lines %v", code, lines)
+	}
+	code, lines := doIngest(t, s, "/ingest", long(maxIngestLine))
+	if code != http.StatusBadRequest || len(lines) != 1 || lines[0]["error"] != "read events: bufio.Scanner: token too long" {
+		t.Fatalf("event over maxIngestLine: status %d, lines %v", code, lines)
 	}
 }

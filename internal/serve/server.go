@@ -17,7 +17,6 @@ import (
 	"iokast/internal/store"
 	"iokast/internal/stream"
 	"iokast/internal/token"
-	"iokast/internal/trace"
 )
 
 // maxTraceBody bounds how much of a POST /traces body is read; a trace of
@@ -127,24 +126,25 @@ func readBody(r *http.Request, limit int) ([]byte, error) {
 	}
 }
 
-// readTraceBody reads, parses, and converts one trace from the request
-// body, writing the HTTP error itself when it returns ok = false.
-func (s *Server) readTraceBody(w http.ResponseWriter, r *http.Request) (*trace.Trace, token.String, bool) {
+// readTraceBody reads one trace from the request body and converts it in
+// one pass, returning its header name and weighted string. It writes the
+// HTTP error itself when it returns ok = false.
+func (s *Server) readTraceBody(w http.ResponseWriter, r *http.Request) (string, token.String, bool) {
 	body, err := readBody(r, maxTraceBody)
 	if err != nil {
 		httpError(w, r, http.StatusBadRequest, "read body: %v", err)
-		return nil, nil, false
+		return "", nil, false
 	}
 	if len(body) > maxTraceBody {
 		httpError(w, r, http.StatusRequestEntityTooLarge, "trace exceeds %d bytes", maxTraceBody)
-		return nil, nil, false
+		return "", nil, false
 	}
-	tr, err := trace.ParseString(string(body))
+	name, x, err := core.ConvertText(string(body), s.copt)
 	if err != nil {
 		httpError(w, r, http.StatusBadRequest, "parse trace: %v", err)
-		return nil, nil, false
+		return "", nil, false
 	}
-	return tr, core.Convert(tr, s.copt), true
+	return name, x, true
 }
 
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
@@ -152,7 +152,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, http.StatusMethodNotAllowed, "POST a trace in the canonical text format")
 		return
 	}
-	tr, x, ok := s.readTraceBody(w, r)
+	name, x, ok := s.readTraceBody(w, r)
 	if !ok {
 		return
 	}
@@ -169,7 +169,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, r, http.StatusCreated, map[string]any{
 		"id":     id,
-		"name":   tr.Name,
+		"name":   name,
 		"tokens": len(x),
 		"weight": x.Weight(),
 	})
@@ -204,7 +204,7 @@ func (s *Server) handleTracesBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Parse everything before ingesting anything: a batch is all-or-nothing
 	// at the validation stage, so one bad trace cannot half-apply it. Each
-	// trace is parsed and converted on its own, into its own slots, over
+	// trace is converted in one pass on its own, into its own slots, over
 	// the corpus's worker bound; the lowest failing index is reported.
 	xs := make([]token.String, len(texts))
 	type meta struct {
@@ -216,13 +216,13 @@ func (s *Server) handleTracesBatch(w http.ResponseWriter, r *http.Request) {
 	metas := make([]meta, len(texts))
 	errs := make([]error, len(texts))
 	kernel.ParallelFor(len(texts), s.c.Workers(), func(i int) {
-		tr, err := trace.ParseString(texts[i])
+		name, x, err := core.ConvertText(texts[i], s.copt)
 		if err != nil {
 			errs[i] = err
 			return
 		}
-		xs[i] = core.Convert(tr, s.copt)
-		metas[i] = meta{Name: tr.Name, Tokens: len(xs[i]), Weight: xs[i].Weight()}
+		xs[i] = x
+		metas[i] = meta{Name: name, Tokens: len(x), Weight: x.Weight()}
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -381,7 +381,7 @@ func nonNil(ns []engine.Neighbor) []engine.Neighbor {
 // canonical text format, converted and compared like an ingested trace but
 // never added to the corpus, the WAL, or the id space.
 func (s *Server) handleSimilarByTrace(w http.ResponseWriter, r *http.Request) {
-	tr, x, ok := s.readTraceBody(w, r)
+	name, x, ok := s.readTraceBody(w, r)
 	if !ok {
 		return
 	}
@@ -396,7 +396,7 @@ func (s *Server) handleSimilarByTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, r, http.StatusOK, map[string]any{
-		"name":      tr.Name,
+		"name":      name,
 		"tokens":    len(x),
 		"weight":    x.Weight(),
 		"neighbors": nonNil(ns),
@@ -525,7 +525,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, http.StatusMethodNotAllowed, "POST /classify?k=&rerank= with a trace body")
 		return
 	}
-	tr, x, ok := s.readTraceBody(w, r)
+	name, x, ok := s.readTraceBody(w, r)
 	if !ok {
 		return
 	}
@@ -540,7 +540,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, r, http.StatusOK, map[string]any{
-		"name":       tr.Name,
+		"name":       name,
 		"tokens":     len(x),
 		"weight":     x.Weight(),
 		"label":      res.Label,
@@ -565,7 +565,7 @@ func (s *Server) handleGram(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	k := s.c.Kernel()
-	m := kernel.Gram(k, xs)
+	m := kernel.GramWorkers(k, xs, s.c.Workers())
 	resp := map[string]any{"kernel": k.Name()}
 	if norm := r.URL.Query().Get("normalized"); norm == "1" || norm == "true" {
 		var clipped int

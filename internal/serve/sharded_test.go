@@ -278,3 +278,40 @@ func TestShardedGramMatchesSingle(t *testing.T) {
 		}
 	}
 }
+
+// TestServeGramWorkers: /gram evaluates at the corpus's -workers bound, and
+// the bound changes no bit of the matrix. A 4-shard corpus of load traces
+// at Workers 1 answers /gram and /gram?normalized=1 exactly as one at the
+// default bound does.
+func TestServeGramWorkers(t *testing.T) {
+	_, batch := workloadBatch(t, 3, 48)
+	get := func(workers int) map[string]string {
+		opt := shardedOptions(4)
+		opt.Engine.Workers = workers
+		sh, err := shard.New(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSharded(sh, nil, core.Options{})
+		if workers > 0 && s.c.Workers() != workers {
+			t.Fatalf("Workers() = %d, want %d", s.c.Workers(), workers)
+		}
+		doJSON(t, s, http.MethodPost, "/traces/batch", string(batch), http.StatusCreated)
+		out := map[string]string{}
+		for _, target := range []string{"/gram", "/gram?normalized=1"} {
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
+			if w.Code != http.StatusOK {
+				t.Fatalf("GET %s at Workers %d: status %d, body %s", target, workers, w.Code, w.Body)
+			}
+			out[target] = w.Body.String()
+		}
+		return out
+	}
+	serial, def := get(1), get(0)
+	for target, want := range def {
+		if serial[target] != want {
+			t.Errorf("GET %s at Workers 1 differs from the default bound", target)
+		}
+	}
+}

@@ -13,7 +13,7 @@ import (
 // the amount of levels jumped until the next new node is found" — after the
 // last node there is no next node).
 func FromTree(root *tree.Node) String {
-	var s String
+	s := make(String, 0, tokenCount(root))
 	pendingUp := 0
 
 	var visit func(n *tree.Node, depth int)
@@ -30,6 +30,19 @@ func FromTree(root *tree.Node) String {
 	}
 	visit(root, 0)
 	return s
+}
+
+// tokenCount is the length of n's weighted string: one token per node, and
+// a [LEVEL_UP] before every node that is not its parent's first child.
+func tokenCount(n *tree.Node) int {
+	count := 1
+	for i, c := range n.Children {
+		count += tokenCount(c)
+		if i > 0 {
+			count++
+		}
+	}
+	return count
 }
 
 func tokenFor(n *tree.Node) Token {

@@ -301,3 +301,18 @@ func TestLiteralsOrder(t *testing.T) {
 		t.Fatalf("Literals = %v", lits)
 	}
 }
+
+// FromTree sizes its string exactly: no capacity goes unused.
+func TestFromTreeExactCapacity(t *testing.T) {
+	for _, root := range []*tree.Node{
+		tree.NewInterior(tree.Root),
+		tree.NewInterior(tree.Root, tree.NewInterior(tree.Handle, tree.NewInterior(tree.Block))),
+		tree.NewInterior(tree.Root,
+			tree.NewInterior(tree.Handle, tree.NewInterior(tree.Block, tree.NewOp("read", 1), tree.NewOp("write", 2)), tree.NewInterior(tree.Block)),
+			tree.NewInterior(tree.Handle, tree.NewInterior(tree.Block, tree.NewOp("lseek", 0)))),
+	} {
+		if s := FromTree(root); len(s) != cap(s) {
+			t.Errorf("FromTree gave %d tokens in a capacity of %d: %v", len(s), cap(s), s)
+		}
+	}
+}

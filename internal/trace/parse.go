@@ -59,23 +59,44 @@ func Parse(r io.Reader) (*Trace, error) {
 // of s and share its memory.
 func ParseString(s string) (*Trace, error) {
 	var p parser
-	for s != "" {
-		line, rest, _ := strings.Cut(s, "\n")
-		if len(line) >= maxLine {
-			return nil, fmt.Errorf("trace: read: %w", bufio.ErrTooLong)
-		}
-		if err := p.line(line); err != nil {
-			return nil, err
-		}
-		s = rest
+	if err := p.text(s); err != nil {
+		return nil, err
 	}
 	return &p.t, nil
+}
+
+// ScanString reads s as ParseString does, but hands each operation to fn
+// as its line is read instead of collecting it: the returned trace holds
+// the header's Name and Label and no Ops. fn may have seen some of the
+// operations when ScanString returns an error, which is the one
+// ParseString returns for s.
+func ScanString(s string, fn func(Op)) (Trace, error) {
+	p := parser{emit: fn}
+	err := p.text(s)
+	return p.t, err
 }
 
 // parser accumulates a trace one line at a time.
 type parser struct {
 	t      Trace
 	lineno int
+	// emit, when set, receives each operation in place of t.Ops.
+	emit func(Op)
+}
+
+// text parses every line of s.
+func (p *parser) text(s string) error {
+	for s != "" {
+		line, rest, _ := strings.Cut(s, "\n")
+		if len(line) >= maxLine {
+			return fmt.Errorf("trace: read: %w", bufio.ErrTooLong)
+		}
+		if err := p.line(line); err != nil {
+			return err
+		}
+		s = rest
+	}
+	return nil
 }
 
 // line parses one line, without its terminator.
@@ -94,6 +115,10 @@ func (p *parser) line(line string) error {
 	op, err := parseOpLine(line)
 	if err != nil {
 		return &ParseError{p.lineno, err.Error()}
+	}
+	if p.emit != nil {
+		p.emit(op)
+		return nil
 	}
 	if len(p.t.Ops) == cap(p.t.Ops) {
 		// Double from a fixed start, whatever the input's size: append's

@@ -253,6 +253,28 @@ func TestParseLineBound(t *testing.T) {
 	}
 }
 
+// ScanString hands each op over in order, returns the header alone, and
+// fails as ParseString does.
+func TestScanString(t *testing.T) {
+	text := FormatString(sample()) + "fstat fh=1\n"
+	var ops []Op
+	h, err := ScanString(text, func(op Op) { ops = append(ops, op) })
+	want, _ := ParseString(text)
+	if err != nil || h.Name != want.Name || h.Label != want.Label || h.Ops != nil || len(ops) != len(want.Ops) {
+		t.Fatalf("ScanString = %+v, %d ops, %v; want %+v", h, len(ops), err, want)
+	}
+	for i := range ops {
+		if ops[i] != want.Ops[i] {
+			t.Fatalf("op %d = %+v, want %+v", i, ops[i], want.Ops[i])
+		}
+	}
+	bad := "read fh=1\nread fh=1 bytes=-5\n"
+	_, err = ScanString(bad, func(Op) {})
+	if _, wantErr := ParseString(bad); err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("ScanString error %v, ParseString error %v", err, wantErr)
+	}
+}
+
 func TestParseErrorHasLineNumber(t *testing.T) {
 	_, err := ParseString("read fh=1 bytes=4\nbogus line here\n")
 	pe, ok := err.(*ParseError)

@@ -96,26 +96,30 @@ func compressPass(ops []*Node) ([]*Node, bool) {
 }
 
 // mergeRuns implements rule 1: collapse runs of leaves with equal name and
-// byte count, summing repetition counts.
+// byte count, summing repetition counts. A list with no such run is
+// returned as it is.
 func mergeRuns(ops []*Node) ([]*Node, bool) {
-	if len(ops) < 2 {
+	first := 1
+	for first < len(ops) && !sameLeaf(ops[first-1], ops[first]) {
+		first++
+	}
+	if first >= len(ops) {
 		return ops, false
 	}
-	out := make([]*Node, 0, len(ops)) // fresh backing array; ops may alias caller state
-	changed := false
-	for _, op := range ops {
-		if n := len(out); n > 0 {
-			last := out[n-1]
-			if last.Name == op.Name && last.Bytes == op.Bytes {
-				last.Repeat += op.Repeat
-				changed = true
-				continue
-			}
+	out := make([]*Node, first, len(ops)) // fresh backing array; ops may alias caller state
+	copy(out, ops)
+	for _, op := range ops[first:] {
+		if last := out[len(out)-1]; sameLeaf(last, op) {
+			last.Repeat += op.Repeat
+			continue
 		}
 		out = append(out, op)
 	}
-	return out, changed
+	return out, true
 }
+
+// sameLeaf reports whether rule 1 merges two leaves.
+func sameLeaf(u, v *Node) bool { return u.Name == v.Name && u.Bytes == v.Bytes }
 
 // pairRule inspects two consecutive leaves and reports whether the rule
 // merges them, with the merged leaf's byte count and whether it takes the
@@ -157,24 +161,26 @@ func rule4(u, v *Node) (int64, bool, bool) {
 
 // mergePairs scans left to right merging non-overlapping adjacent pairs with
 // the rule. The merged node is appended and the scan continues after the
-// pair, so a merged node is never re-merged within the same scan. Merged
-// nodes come from one slab sized for the most merges the rest of the scan
-// can make, and a run of equal pairs shares one combined name.
+// pair, so a merged node is never re-merged within the same scan. A list
+// with no pair to merge is returned as it is. Merged nodes come from one
+// slab sized for the most merges the rest of the scan can make, and a run
+// of equal pairs shares one combined name.
 func mergePairs(ops []*Node, rule pairRule) ([]*Node, bool) {
-	if len(ops) < 2 {
+	first := 0
+	for first+1 < len(ops) && !matches(rule, ops[first], ops[first+1]) {
+		first++
+	}
+	if first+1 >= len(ops) {
 		return ops, false
 	}
-	out := make([]*Node, 0, len(ops))
-	changed := false
-	var merged []Node
+	out := make([]*Node, first, len(ops))
+	copy(out, ops)
+	merged := make([]Node, 0, (len(ops)-first)/2)
 	var name, nameU, nameV string // the last combined name and its parts
-	for i := 0; i < len(ops); {
+	for i := first; i < len(ops); {
 		if i+1 < len(ops) {
 			u, v := ops[i], ops[i+1]
 			if bytes, combined, ok := rule(u, v); ok {
-				if merged == nil {
-					merged = make([]Node, 0, (len(ops)-i)/2)
-				}
 				m := Node{Kind: OpNode, Name: u.Name, Bytes: bytes, Repeat: u.Repeat}
 				if combined {
 					if name == "" || u.Name != nameU || v.Name != nameV {
@@ -185,12 +191,17 @@ func mergePairs(ops []*Node, rule pairRule) ([]*Node, bool) {
 				merged = append(merged, m)
 				out = append(out, &merged[len(merged)-1])
 				i += 2
-				changed = true
 				continue
 			}
 		}
 		out = append(out, ops[i])
 		i++
 	}
-	return out, changed
+	return out, true
+}
+
+// matches reports whether rule merges u and v.
+func matches(rule pairRule, u, v *Node) bool {
+	_, _, ok := rule(u, v)
+	return ok
 }
